@@ -16,7 +16,7 @@ from .analysis import (
     check_injection_constraint,
     empirical_diff_probability,
 )
-from .bench import BenchResult, bench_cipher, compare_report, run_sweep
+from .bench import BenchResult, compare_report, run_sweep
 from .cipher import (
     BLOCK_BYTES,
     CONSTANTS,

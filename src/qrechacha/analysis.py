@@ -78,7 +78,8 @@ def avalanche_metric(
     Each trial draws a fresh random key and nonce (params supplies rounds
     and counter), flips the designated key/nonce/counter bit, and compares
     the two keystream blocks.  half_width is the three-sigma band
-    3*sqrt(0.25/trials) around an ideal 0.5.
+    3*sqrt(0.25/trials) around an ideal 0.5.  Material for another round
+    count raises MaskCountMismatch.
     """
     if trials < 1000:
         raise ParamError(f"avalanche needs >= 1000 trials, got {trials}")
@@ -92,18 +93,14 @@ def avalanche_metric(
     row = base_row + bit // 32
     flip = np.uint32(1 << (bit % 32))
     rng = np.random.default_rng(rng)
-    const_mask, masks = vector.material_arrays(material)
+    column, masks = vector.prepare(params, material)
 
     flips = np.zeros((16, 32), dtype=np.int64)
     done = 0
     while done < trials:
         batch = min(4096, trials - done)
-        x0 = np.empty((16, batch), dtype=np.uint32)
-        x0[0:4] = np.array(
-            [vector.CONSTANTS[i] ^ const_mask[i] for i in range(4)], dtype=np.uint32
-        )[:, None]
+        x0 = np.repeat(column, batch, axis=1)
         x0[4:12] = rng.integers(0, 1 << 32, size=(8, batch), dtype=np.uint32)
-        x0[12] = np.uint32(params.counter)
         x0[13:16] = rng.integers(0, 1 << 32, size=(3, batch), dtype=np.uint32)
         x1 = x0.copy()
         x1[row] ^= flip
@@ -215,22 +212,15 @@ def empirical_diff_probability(
         batch = min(1 << 15, samples - done)
         xa = rng.integers(0, 1 << 32, size=(16, batch), dtype=np.uint32)
         xb = xa ^ in_diff
-        for r in range(spec.rounds):
-            if r % 2 == 0:
-                if qrn_mode == "resampled":
-                    ma, mb = _admissible_mask_pairs(rng, xa[0:4] ^ xb[0:4], batch)
-                    xa[0:4] ^= ma
-                    xb[0:4] ^= mb
-                elif fixed_masks is not None:
-                    xa[0:4] ^= fixed_masks[r >> 1][:, None]
-                    xb[0:4] ^= fixed_masks[r >> 1][:, None]
-                for g in ((0, 4, 8, 12), (1, 5, 9, 13), (2, 6, 10, 14), (3, 7, 11, 15)):
-                    vector._qr(xa, *g)
-                    vector._qr(xb, *g)
-            else:
-                for g in ((0, 5, 10, 15), (1, 6, 11, 12), (2, 7, 8, 13), (3, 4, 9, 14)):
-                    vector._qr(xa, *g)
-                    vector._qr(xb, *g)
+        # one double round at a time: resampled masks depend on the state
+        # difference at the injection, so they are drawn just before it
+        for i in range(spec.rounds // 2):
+            ma = mb = None if fixed_masks is None else fixed_masks[i : i + 1]
+            if qrn_mode == "resampled":
+                ma, mb = _admissible_mask_pairs(rng, xa[0:4] ^ xb[0:4], batch)
+                ma, mb = ma[None], mb[None]
+            vector.run_rounds(xa, 2, ma)
+            vector.run_rounds(xb, 2, mb)
         hits += int(((xa ^ xb) == out_diff).all(axis=0).sum())
         done += batch
 

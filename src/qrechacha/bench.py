@@ -56,52 +56,23 @@ class BenchResult:
         }
 
 
-def bench_cipher(cipher: str, rounds: int, payload_bytes: int, reps: int = MIN_REPS,
-                 payload: bytes | None = None) -> BenchResult:
-    """Time `reps` encryptions of one in-memory payload.
-
-    cipher "chacha" runs without any mask work; "qre-chacha" derives random
-    session material once, outside the timed region.
-    """
-    if cipher not in CIPHERS:
-        raise ParamError(f"cipher must be one of {CIPHERS}, got {cipher!r}")
-    if reps < MIN_REPS:
-        raise ParamError(f"benchmark needs >= {MIN_REPS} repetitions, got {reps}")
-    if payload is None:
-        payload = os.urandom(payload_bytes)
-    elif len(payload) != payload_bytes:
-        raise ParamError("payload length does not match payload_bytes")
-
-    material = None
-    if cipher == "qre-chacha":
-        material = derive_session(DeterministicProvider(os.urandom(32)), rounds)
-    nonce = os.urandom(12)
-    all_params = [
-        CipherParams.from_bytes(os.urandom(32), nonce, 0, rounds) for _ in range(reps + 1)
-    ]
-
-    xor_stream(all_params[0], material, payload)  # warm-up, untimed
-    times = []
-    for params in all_params[1:]:
-        t0 = time.perf_counter()
-        xor_stream(params, material, payload)
-        t1 = time.perf_counter()
-        times.append(t1 - t0)
-    return BenchResult(cipher, rounds, payload_bytes, reps, times)
-
-
 def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[BenchResult]:
     """Bench every (cipher, rounds) config over every payload size.
 
-    The payload for a given size is shared by all configs, and repetitions
-    are interleaved round-robin across configs so background load spikes
-    hit every configuration alike.
+    cipher "chacha" runs without any mask work; "qre-chacha" derives random
+    session material once, outside the timed region.  Each config gets a
+    fresh random key per repetition plus one untimed warm-up.  The payload
+    for a given size is shared by all configs, and repetitions are
+    interleaved round-robin across configs so background load spikes hit
+    every configuration alike.
     """
     if reps < MIN_REPS:
         raise ParamError(f"benchmark needs >= {MIN_REPS} repetitions, got {reps}")
     results = []
     for size in sizes_mb:
         nbytes = int(size * 1_000_000)
+        if nbytes < 1:
+            raise ParamError(f"payload size must be positive, got {size} MB")
         payload = os.urandom(nbytes)
         runs = []
         for cipher, rounds in configs:

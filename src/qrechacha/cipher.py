@@ -13,8 +13,11 @@ With all-zero masks the output is bitwise plain ChaCha.  The keystream
 block is the little-endian serialization of Z = X(0) + X(R), where X(0)
 already carries the constant mask.
 
-This module is the readable reference; `vector` provides a batch engine
-that produces identical bytes and is what `xor_stream` runs on.
+This module is the readable reference and the tests' oracle.  `vector`
+provides the batch engine that produces identical bytes: one chunked
+keystream generator behind `xor_stream`, `vector.keystream_bytes` and
+corpus generation, and the round loop that the avalanche and
+differential estimators run.
 """
 
 from __future__ import annotations
@@ -244,14 +247,12 @@ def xor_stream(params: CipherParams, material: QrnSessionMaterial | None, data: 
     """XOR data with the keystream starting at params.counter.
 
     Encryption and decryption are the same operation.  Counters increment
-    once per 64-byte block and must not wrap.  Returns a bytearray (written
+    once per 64-byte block and must not wrap.  Runs on the batch engine in
+    `vector`, whose one keystream generator validates the material and the
+    counter span and XORs chunk by chunk.  Returns a bytearray (written
     exactly once, which keeps bulk encryption at memory speed); treat it as
     a read-only byte sequence or wrap in bytes() if immutability matters.
     """
     from . import vector
 
-    resolve_material(params, material)
-    check_counter_span(params.counter, blocks_needed(len(data)))
-    if not data:
-        return bytearray()
     return vector.xor_with_keystream(params, material, data)

@@ -43,6 +43,14 @@ def _write(path, data: bytes) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _parse(convert, text: str, flag: str):
+    """convert(text), reporting a malformed flag value as a usage error."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParamError(f"bad {flag} value {text!r}") from None
+
+
 def _load_params(args, default_counter=0) -> CipherParams:
     key = _read(args.key)
     nonce = _read(args.nonce)
@@ -79,7 +87,7 @@ def cmd_crypt(args) -> int:
 
 
 def cmd_keystream(args) -> int:
-    seed = bytes.fromhex(args.seed) if args.seed else os.urandom(32)
+    seed = _parse(bytes.fromhex, args.seed, "--seed") if args.seed else os.urandom(32)
     spec = generate.CorpusSpec(seed, args.count, args.bits, args.rounds, args.counter)
     material = _load_material(args)
     source = args.material if args.material else "seed-derived"
@@ -104,8 +112,11 @@ def cmd_qrn_fetch(args) -> int:
 
 
 def cmd_qrn_init(args) -> int:
+    if args.nbytes < 1:
+        raise ParamError(f"--bytes must be positive, got {args.nbytes}")
     if args.seed:
-        data = qrn.DeterministicProvider(bytes.fromhex(args.seed)).take(args.nbytes)
+        seed = _parse(bytes.fromhex, args.seed, "--seed")
+        data = qrn.DeterministicProvider(seed).take(args.nbytes)
         quantum = False
     else:
         data = os.urandom(args.nbytes)
@@ -128,7 +139,7 @@ def cmd_material_derive(args) -> int:
     if args.pool:
         source = qrn.QrnPool(args.pool, is_quantum=not args.non_quantum)
     else:
-        source = qrn.DeterministicProvider(bytes.fromhex(args.seed))
+        source = qrn.DeterministicProvider(_parse(bytes.fromhex, args.seed, "--seed"))
     material = qrn.derive_session(source, args.rounds)
     qrn.write_material(args.out, material)
     print(f"derived material for {args.rounds} rounds from {source.identity} -> {args.out}")
@@ -151,7 +162,7 @@ def cmd_test(args) -> int:
         sequences = (bits_from_bytes(_read(p), args.bits) for p in paths)
         provider = _ManifestProvider(f"files:{args.input_dir}", args.quantum)
     else:
-        seed = bytes.fromhex(args.seed) if args.seed else os.urandom(32)
+        seed = _parse(bytes.fromhex, args.seed, "--seed") if args.seed else os.urandom(32)
         spec = generate.CorpusSpec(seed, args.sequences, args.bits, args.rounds, 0)
         material = _load_material(args)
         quantum = args.quantum if args.material else False
@@ -184,7 +195,8 @@ def cmd_avalanche(args) -> int:
         material = None
     segment, _, bit = args.flip.partition(":")
     report = analysis.avalanche_metric(
-        params, material, (segment, int(bit or 0)), args.trials, rng=args.rng_seed
+        params, material, (segment, _parse(int, bit or "0", "--flip")), args.trials,
+        rng=args.rng_seed,
     )
     print(f"avalanche rounds={report.rounds} trials={report.trials} "
           f"flip={report.flip_target[0]}:{report.flip_target[1]}")
@@ -195,8 +207,8 @@ def cmd_avalanche(args) -> int:
     return 0
 
 
-def _parse_diff(text: str) -> tuple[int, ...]:
-    words = tuple(int(w, 16) for w in text.replace(",", " ").split())
+def _parse_diff(text: str, flag: str) -> tuple[int, ...]:
+    words = tuple(_parse(lambda w: int(w, 16), w, flag) for w in text.replace(",", " ").split())
     if len(words) != 16:
         raise ParamError(f"difference needs 16 hex words, got {len(words)}")
     return words
@@ -204,7 +216,9 @@ def _parse_diff(text: str) -> tuple[int, ...]:
 
 def cmd_diffprob(args) -> int:
     spec = analysis.DiffSpec(
-        _parse_diff(args.input_diff), _parse_diff(args.output_diff), args.rounds
+        _parse_diff(args.input_diff, "--input-diff"),
+        _parse_diff(args.output_diff, "--output-diff"),
+        args.rounds,
     )
     material = _load_material(args)
     est = analysis.empirical_diff_probability(
@@ -223,8 +237,8 @@ def cmd_bench(args) -> int:
         name, _, rounds = spec.partition(":")
         if name not in bench.CIPHERS:
             raise ParamError(f"unknown cipher {name!r}")
-        configs.append((name, int(rounds) if rounds else 8))
-    sizes = [float(s) for s in args.sizes.split(",")]
+        configs.append((name, _parse(int, rounds, "--ciphers") if rounds else 8))
+    sizes = [_parse(float, s, "--sizes") for s in args.sizes.split(",")]
     results = bench.run_sweep(configs, sizes, args.reps)
     _emit_report(args, bench.compare_report(results))
     return 0

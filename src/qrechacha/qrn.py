@@ -19,10 +19,12 @@ Pool file layout (little-endian):
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import os
 import struct
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -47,6 +49,9 @@ MASK_BYTES = 16
 
 ENDPOINT_ENV = "QRECHACHA_QRN_ENDPOINT"
 MODE_ENV = "QRECHACHA_QRN_MODE"
+# response bytes read per requested byte: hex mode needs two per byte plus
+# whitespace; anything past that is never read
+BODY_BYTES_PER_BYTE = 4
 
 
 def material_bytes_needed(rounds: int) -> int:
@@ -59,7 +64,9 @@ class QrnPool:
 
     The new cursor is flushed to disk before bytes are handed to the caller,
     so a crash can waste one request's entropy but never re-issue bytes.
-    Concurrent takers must be serialized externally (single-writer contract).
+    Each take holds an exclusive flock on the pool file from reading the
+    cursor to the fsync of its advance, so concurrent takers in other
+    processes (or through other handles) never receive the same bytes.
     """
 
     def __init__(self, path, is_quantum: bool = True):
@@ -91,6 +98,9 @@ class QrnPool:
                 head = fh.read(_POOL_HEADER.size)
         except OSError as exc:
             raise IoFailure(f"cannot read pool {self.path}: {exc}") from exc
+        self._parse_header(head)
+
+    def _parse_header(self, head: bytes) -> None:
         if len(head) < _POOL_HEADER.size:
             raise IoFailure(f"{self.path} is not a pool file (truncated header)")
         magic, version, total, cursor = _POOL_HEADER.unpack(head)
@@ -111,16 +121,18 @@ class QrnPool:
         """Consume the next nbytes; the cursor advance hits disk first."""
         if nbytes < 0:
             raise ParamError("nbytes must be >= 0")
-        self._read_header()
-        if nbytes == 0:
-            return b""
-        if self.cursor_bytes + nbytes > self.total_bytes:
-            raise PoolExhausted(
-                f"pool {self.path} has {self.remaining} bytes left, need {nbytes}"
-            )
-        new_cursor = self.cursor_bytes + nbytes
         try:
             with open(self.path, "r+b") as fh:
+                # released when fh closes, after the fsync below
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+                self._parse_header(fh.read(_POOL_HEADER.size))
+                if nbytes == 0:
+                    return b""
+                if self.cursor_bytes + nbytes > self.total_bytes:
+                    raise PoolExhausted(
+                        f"pool {self.path} has {self.remaining} bytes left, need {nbytes}"
+                    )
+                new_cursor = self.cursor_bytes + nbytes
                 fh.seek(_POOL_HEADER.size + self.cursor_bytes)
                 data = fh.read(nbytes)
                 if len(data) != nbytes:
@@ -174,10 +186,11 @@ class DeterministicProvider:
 def fetch_remote(endpoint: str, nbytes: int, mode: str = "raw", timeout: float = 10.0) -> bytes:
     """Fetch exactly nbytes from a QRNG HTTP(S) endpoint.
 
-    "{nbytes}" in the URL is substituted with the request size.  mode "raw"
-    takes the response body as-is; "hex" strips whitespace and decodes an
-    ASCII hex body.  Longer responses are truncated to nbytes; shorter ones
-    raise ShortResponse.
+    "{nbytes}" in the URL is substituted with the request size.  Only http
+    and https URLs are accepted, and at most BODY_BYTES_PER_BYTE * nbytes
+    response bytes are read.  mode "raw" takes the body as-is; "hex" strips
+    whitespace and decodes an ASCII hex body.  Longer responses are
+    truncated to nbytes; shorter ones raise ShortResponse.
     """
     if nbytes <= 0:
         raise ParamError("nbytes must be > 0")
@@ -185,8 +198,11 @@ def fetch_remote(endpoint: str, nbytes: int, mode: str = "raw", timeout: float =
         raise ParamError(f"decode mode must be 'raw' or 'hex', got {mode!r}")
     url = endpoint.replace("{nbytes}", str(nbytes))
     try:
+        scheme = urllib.parse.urlsplit(url).scheme
+        if scheme not in ("http", "https"):
+            raise ParamError(f"QRNG endpoint must be an http(s) URL, got scheme {scheme!r}")
         with urllib.request.urlopen(url, timeout=timeout) as resp:
-            body = resp.read()
+            body = resp.read(BODY_BYTES_PER_BYTE * nbytes)
     except (urllib.error.URLError, OSError, ValueError) as exc:
         raise NetworkFailure(f"QRNG fetch from {url} failed: {exc}") from exc
     if mode == "hex":

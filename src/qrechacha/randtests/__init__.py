@@ -8,7 +8,7 @@ from .battery import (
     proportion_interval,
     uniformity_p_value,
 )
-from .bits import as_bits, bits_from_bytes, bytes_from_bits, read_bits, write_bits
+from .bits import as_bits, bits_from_bytes, bytes_from_bits
 from .special import erfc, igamc
 from .tests import (
     ALPHA_DEFAULT,

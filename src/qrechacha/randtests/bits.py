@@ -1,16 +1,14 @@
-"""Bit-sequence coercion and packed-byte I/O.
+"""Bit-sequence coercion and packing.
 
-Packed files store bits most-significant-bit-first within each byte; that is
+Packed bytes hold bits most-significant-bit-first within each byte; that is
 also numpy's unpackbits default, so keystream bytes map straight to bits.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from ..errors import IoFailure, ParamError
+from ..errors import ParamError
 
 
 def as_bits(seq) -> np.ndarray:
@@ -39,18 +37,3 @@ def bits_from_bytes(data: bytes, nbits: int | None = None) -> np.ndarray:
 def bytes_from_bits(bits) -> bytes:
     """Pack bits MSB-first; the final byte is zero-padded."""
     return np.packbits(as_bits(bits)).tobytes()
-
-
-def read_bits(path, nbits: int | None = None) -> np.ndarray:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read bit file {path}: {exc}") from exc
-    return bits_from_bytes(data, nbits)
-
-
-def write_bits(path, bits) -> None:
-    try:
-        Path(path).write_bytes(bytes_from_bits(bits))
-    except OSError as exc:
-        raise IoFailure(f"cannot write bit file {path}: {exc}") from exc

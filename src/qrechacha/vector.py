@@ -1,31 +1,32 @@
 """Batch keystream engine.
 
-State is a (16, n) uint32 array: one row per word, one column per block.
-All round arithmetic wraps mod 2**32 via uint32 ufuncs, so the bytes are
-identical to the scalar core (tests pin this).  Used for bulk encryption,
-avalanche measurement and differential sampling; generation over disjoint
-counter ranges is independent, so chunks and threads compose freely.
+State is a (16, n) uint32 array: one row per word, one column per block
+(the column layout of Bernstein's ChaCha paper).  Round arithmetic wraps
+mod 2**32 via uint32 ufuncs, so the bytes equal the scalar core's.
+
+One generator yields keystream words in chunks of at most CHUNK_BLOCKS
+blocks from one reused state buffer.  `xor_with_keystream` is its only
+consumer and takes a trailing partial block from the last column of the
+same chunk, so the round loop runs once per chunk; `keystream_bytes` is
+the XOR over zero bytes.  Disjoint counter ranges are independent, so any
+block-aligned slice of a stream can be recomputed from its own counter.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
 from .cipher import (
     BLOCK_BYTES,
-    CONSTANTS,
     blocks_needed,
     check_counter_span,
+    init_state,
     resolve_material,
 )
 
 # keystream chunking: 2**18 blocks = 16 MiB per chunk (uniformly DRAM-bound,
 # which keeps round-count scaling flat across payload sizes)
 CHUNK_BLOCKS = 1 << 18
-
-_LITTLE = sys.byteorder == "little"
 
 
 def _rotl(row, n, t):
@@ -34,10 +35,8 @@ def _rotl(row, n, t):
     np.bitwise_or(row, t, out=row)
 
 
-def _qr(x, a, b, c, d, t=None):
-    """In-place quarter-round on rows of x; t is an optional scratch row."""
-    if t is None:
-        t = np.empty_like(x[a])
+def _qr(x, a, b, c, d, t):
+    """In-place quarter-round on rows of x; t is a scratch row."""
     np.add(x[a], x[b], out=x[a])
     np.bitwise_xor(x[d], x[a], out=x[d])
     _rotl(x[d], 16, t)
@@ -87,151 +86,64 @@ def feedforward(x0: np.ndarray, rounds: int, round_masks=None) -> np.ndarray:
     return w
 
 
-def material_arrays(material):
-    """(const_mask tuple, round-mask uint32 array or None) for the engine."""
-    if material is None:
-        return (0, 0, 0, 0), None
-    return material.const_mask, np.asarray(material.round_masks, dtype=np.uint32)
+def prepare(params, material):
+    """(X(0) as a (16, 1) uint32 column, round masks as an (R/2, 4) uint32
+    array or None), after checking that material covers params.rounds."""
+    const_mask, masks = resolve_material(params, material)
+    x0 = np.array(init_state(params, const_mask), dtype=np.uint32)[:, None]
+    return x0, None if masks is None else np.asarray(masks, dtype=np.uint32)
 
 
-def init_blocks(key, nonce, counters, const_mask=(0, 0, 0, 0)) -> np.ndarray:
-    """(16, n) initial states sharing key/nonce across a counter vector."""
-    counters = np.asarray(counters, dtype=np.uint32)
-    x = np.empty((16, counters.size), dtype=np.uint32)
-    for i in range(4):
-        x[i] = np.uint32(CONSTANTS[i] ^ const_mask[i])
-    for i in range(8):
-        x[4 + i] = np.uint32(key[i])
-    x[12] = counters
-    for i in range(3):
-        x[13 + i] = np.uint32(nonce[i])
-    return x
+def _keystream(params, material, nbytes: int):
+    """Yield (first_block, w) in counter order, where w is a (16, take)
+    array of keystream words for blocks first_block.. of the stream that
+    starts at params.counter, covering blocks_needed(nbytes) blocks.
 
-
-def _serialize(z: np.ndarray) -> np.ndarray:
-    """(16, n) output words -> flat uint8 keystream, 16 LE words per block."""
-    out = np.ascontiguousarray(z.T)
-    if not _LITTLE:
-        out = out.astype("<u4")
-    return out.view(np.uint8).reshape(-1)
-
-
-def _block_words(params, material, counter: int, nblocks: int, state=None) -> np.ndarray:
-    const_mask, masks = material_arrays(material)
-    ctrs = np.uint32(counter) + np.arange(nblocks, dtype=np.uint32)
-    if state is None:
-        w = init_blocks(params.key, params.nonce, ctrs, const_mask)
-    else:
-        w = state[:, :nblocks]
-        for i in range(4):
-            w[i] = np.uint32(CONSTANTS[i] ^ const_mask[i])
-        for i in range(8):
-            w[4 + i] = np.uint32(params.key[i])
-        w[12] = ctrs
-        for i in range(3):
-            w[13 + i] = np.uint32(params.nonce[i])
-    run_rounds(w, params.rounds, masks)
-    # feedforward without materializing X(0): every row of X(0) except the
-    # counter is constant across the batch
-    for i in range(4):
-        w[i] += np.uint32(CONSTANTS[i] ^ const_mask[i])
-    for i in range(8):
-        w[4 + i] += np.uint32(params.key[i])
-    w[12] += ctrs
-    for i in range(3):
-        w[13 + i] += np.uint32(params.nonce[i])
-    return w
-
-
-def keystream_blocks(params, material, counter: int, nblocks: int) -> bytes:
-    """nblocks of keystream at counters counter..counter+nblocks-1."""
-    resolve_material(params, material)
-    check_counter_span(counter, nblocks)
-    if nblocks <= 0:
-        return b""
-    return _serialize(_block_words(params, material, counter, nblocks)).tobytes()
-
-
-def _chunks(params, material, nbytes: int, chunk_blocks: int):
-    """Yield keystream chunks as uint8 arrays covering nbytes in order.
-
-    The yielded array aliases a buffer that the next iteration overwrites;
-    consumers must use it before advancing.
+    w aliases a buffer that the next iteration overwrites; consumers must
+    use it before advancing.
     """
+    x0, masks = prepare(params, material)
     nblocks = blocks_needed(nbytes)
-    chunk = min(chunk_blocks, nblocks)
-    state = np.empty((16, chunk), dtype=np.uint32)
-    trans = np.empty((chunk, 16), dtype=np.uint32)
-    block = 0
-    while block < nblocks:
-        take = min(chunk, nblocks - block)
-        w = _block_words(params, material, params.counter + block, take, state)
-        np.copyto(trans[:take], w.T)
-        out = trans[:take]
-        if not _LITTLE:
-            out = out.astype("<u4")
-        yield out.view(np.uint8).reshape(-1)
-        block += take
+    check_counter_span(params.counter, nblocks)
+    state = np.empty((16, min(CHUNK_BLOCKS, nblocks)), dtype=np.uint32)
+    for block in range(0, nblocks, CHUNK_BLOCKS):
+        w = state[:, : nblocks - block]
+        # X(0) is x0 plus the block offset in the counter row; the span
+        # check above guarantees the counter never wraps
+        offsets = np.arange(block, block + w.shape[1], dtype=np.uint32)
+        np.copyto(w, x0)
+        w[12] += offsets
+        run_rounds(w, params.rounds, masks)
+        w += x0
+        w[12] += offsets
+        yield block, w
 
 
-def keystream_bytes(params, material, nbytes: int, chunk_blocks: int = CHUNK_BLOCKS) -> bytes:
-    """Exactly nbytes of keystream starting at params.counter."""
-    resolve_material(params, material)
-    check_counter_span(params.counter, blocks_needed(nbytes))
-    if nbytes <= 0:
-        return b""
-    pieces = []
-    done = 0
-    for ks in _chunks(params, material, nbytes, chunk_blocks):
-        end = min(done + ks.size, nbytes)
-        pieces.append(ks[: end - done].tobytes())
-        done = end
-    return b"".join(pieces)
-
-
-def xor_with_keystream(params, material, data: bytes, chunk_blocks: int = CHUNK_BLOCKS) -> bytearray:
-    """data XOR keystream, chunked to bound memory.
+def xor_with_keystream(params, material, data) -> bytearray:
+    """data XOR keystream from params.counter, chunked to bound memory.
 
     Whole blocks are XORed word-wise straight out of the (16, n) state,
-    fusing serialization with the XOR; the trailing partial block (and any
-    misaligned or big-endian input) takes the byte path.  Returns a
-    bytearray so the result buffer is written exactly once.
+    fusing serialization with the XOR; "<u4" views fix the byte order and
+    accept misaligned buffers.  Returns a bytearray so the result buffer is
+    written exactly once.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    out = bytearray(buf.size)
-    out8 = np.frombuffer(out, dtype=np.uint8)
-    full_blocks = buf.size // BLOCK_BYTES
-    buf32 = out32 = None
-    if _LITTLE and full_blocks:
-        try:
-            buf32 = buf[: full_blocks * BLOCK_BYTES].view(np.uint32)
-            out32 = out8[: full_blocks * BLOCK_BYTES].view(np.uint32)
-        except ValueError:  # misaligned buffer
-            buf32 = out32 = None
-
-    done = 0
-    if buf32 is not None:
-        state = np.empty((16, min(chunk_blocks, full_blocks)), dtype=np.uint32)
-        block = 0
-        while block < full_blocks:
-            take = min(chunk_blocks, full_blocks - block)
-            w = _block_words(params, material, params.counter + block, take, state)
-            np.bitwise_xor(
-                buf32[block * 16 : (block + take) * 16].reshape(take, 16),
-                w.T,
-                out=out32[block * 16 : (block + take) * 16].reshape(take, 16),
-            )
-            block += take
-        done = full_blocks * BLOCK_BYTES
-
-    if done < buf.size:
-        tail_counter = params.counter + done // BLOCK_BYTES
-        tail_bytes = buf.size - done
-        tail_params = type(params)(params.key, params.nonce, tail_counter, params.rounds)
-        off = 0
-        for ks in _chunks(tail_params, material, tail_bytes, chunk_blocks):
-            end = min(off + ks.size, tail_bytes)
-            np.bitwise_xor(buf[done + off : done + end], ks[: end - off],
-                           out=out8[done + off : done + end])
-            off = end
+    src = np.frombuffer(data, dtype=np.uint8)
+    out = bytearray(src.size)
+    full = src.size // BLOCK_BYTES
+    src32 = np.frombuffer(data, dtype="<u4", count=16 * full)
+    out32 = np.frombuffer(out, dtype="<u4", count=16 * full)
+    for block, w in _keystream(params, material, src.size):
+        whole = min(w.shape[1], full - block)
+        rows = slice(16 * block, 16 * (block + whole))
+        np.bitwise_xor(src32[rows].reshape(whole, 16), w[:, :whole].T,
+                       out=out32[rows].reshape(whole, 16))
+        if whole < w.shape[1]:  # the partial last block is the last column
+            done = BLOCK_BYTES * full
+            ks = w[:, whole].astype("<u4").view(np.uint8)[: src.size - done]
+            out[done:] = (src[done:] ^ ks).tobytes()
     return out
+
+
+def keystream_bytes(params, material, nbytes: int) -> bytes:
+    """Exactly nbytes of keystream starting at params.counter."""
+    return bytes(xor_with_keystream(params, material, bytes(max(nbytes, 0))))

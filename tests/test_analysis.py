@@ -4,6 +4,7 @@ import pytest
 from qrechacha import (
     CipherParams,
     DiffSpec,
+    MaskCountMismatch,
     ParamError,
     avalanche_metric,
     check_injection_constraint,
@@ -79,6 +80,13 @@ class TestAvalanche:
         a = avalanche_metric(params_for(8), None, ("key", 5), 4000, rng=4)
         b = avalanche_metric(params_for(8), mat, ("key", 5), 4000, rng=5)
         assert abs(a.aggregate - b.aggregate) <= a.half_width + b.half_width
+
+    def test_material_round_count_must_match(self):
+        # 20-round material at 8 rounds and 4-round material at 8 rounds
+        for rounds in (20, 4):
+            mat = derive_session(DeterministicProvider(b"mismatch"), rounds)
+            with pytest.raises(MaskCountMismatch):
+                avalanche_metric(params_for(8), mat, ("key", 0), 1000, rng=7)
 
     def test_report_dict(self):
         rep = avalanche_metric(params_for(8), None, ("key", 0), 1000, rng=6)

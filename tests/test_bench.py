@@ -2,14 +2,15 @@ import json
 
 import pytest
 
-from qrechacha import InsufficientResults, ParamError, bench_cipher, compare_report
-from qrechacha.bench import BenchResult, run_sweep
+from qrechacha import InsufficientResults, ParamError, compare_report, run_sweep
+from qrechacha.bench import BenchResult
 
 
 def test_bench_result_fields():
-    res = bench_cipher("chacha", 8, 1_000_000, reps=5)
+    (res,) = run_sweep([("chacha", 8)], sizes_mb=(1,), reps=5)
     assert res.cipher == "chacha"
     assert res.rounds == 8
+    assert res.payload_bytes == 1_000_000
     assert res.repetitions == 5
     assert len(res.times) == 5
     assert res.mean_seconds == pytest.approx(sum(res.times) / 5)
@@ -19,23 +20,25 @@ def test_bench_result_fields():
 
 def test_validation():
     with pytest.raises(ParamError):
-        bench_cipher("rc4", 8, 1000)
+        run_sweep([("rc4", 8)], sizes_mb=(0.001,))
     with pytest.raises(ParamError):
-        bench_cipher("chacha", 8, 1000, reps=4)
+        run_sweep([("chacha", 8)], sizes_mb=(0.001,), reps=4)
     with pytest.raises(ParamError):
         run_sweep([("chacha", 8)], sizes_mb=(1,), reps=2)
+    for size in (0, -1):
+        with pytest.raises(ParamError):
+            run_sweep([("chacha", 8)], sizes_mb=(size,))
 
 
 def test_qre_material_is_prederived():
     # timing a qre run must not blow up relative to chacha on tiny payloads
-    res = bench_cipher("qre-chacha", 8, 65536, reps=5)
+    (res,) = run_sweep([("qre-chacha", 8)], sizes_mb=(0.065536,), reps=5)
     assert len(res.times) == 5
     assert all(t > 0 for t in res.times)
 
 
 def test_scaling_roughly_linear():
-    a = bench_cipher("chacha", 8, 4_000_000, reps=5)
-    b = bench_cipher("chacha", 8, 8_000_000, reps=5)
+    a, b = run_sweep([("chacha", 8)], sizes_mb=(4, 8), reps=5)
     ratio = b.mean_seconds / a.mean_seconds
     assert 1.5 <= ratio <= 2.5  # doubling payload ~ doubles time
 

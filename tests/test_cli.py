@@ -182,3 +182,31 @@ class TestBenchCommand:
         lines = report.read_text().strip().splitlines()
         assert lines[0] == "cipher,rounds,bytes,reps,mean_s,mbps"
         assert len(lines) == 5
+
+
+DIFF = " ".join(["80000000"] + ["0"] * 15)
+BAD_DIFF = " ".join(["zz"] + ["0"] * 15)
+
+
+class TestMalformedFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ("keystream", "--bits", 512, "--seed", "nothex", "--out-dir", "{tmp}/ks"),
+        ("test", "--sequences", 1, "--bits", 1000, "--seed", "zz"),
+        ("qrn", "init", "--bytes", 16, "--seed", "xyz", "--out", "{tmp}/p.qrnp"),
+        ("qrn", "init", "--bytes", -1, "--out", "{tmp}/p.qrnp"),
+        ("material", "derive", "--seed", "0g", "--rounds", 8, "--out", "{tmp}/m.bin"),
+        ("diffprob", "--rounds", 2, "--input-diff", BAD_DIFF, "--output-diff", DIFF),
+        ("diffprob", "--rounds", 2, "--input-diff", DIFF, "--output-diff", BAD_DIFF),
+        ("avalanche", "--trials", 1000, "--flip", "key:x"),
+        ("bench", "--ciphers", "chacha:x", "--sizes", "0.001"),
+        ("bench", "--sizes", "a"),
+    ])
+    def test_exit_code_2(self, tmp_path, argv):
+        assert run_cli(*(str(a).format(tmp=tmp_path) for a in argv)) == 2
+
+    def test_avalanche_material_for_other_rounds(self, tmp_path):
+        material = tmp_path / "m20.bin"
+        assert run_cli("material", "derive", "--seed", SEED, "--rounds", 20,
+                       "--out", material) == 0
+        assert run_cli("avalanche", "--rounds", 8, "--trials", 1000,
+                       "--material", material) == 2

@@ -1,9 +1,14 @@
 import http.server
+import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import qrechacha
 from qrechacha import (
     DecodeError,
     DeterministicProvider,
@@ -22,6 +27,7 @@ from qrechacha import (
     session_parse,
     session_serialize,
 )
+from qrechacha.qrn import BODY_BYTES_PER_BYTE
 
 
 class TestPool:
@@ -95,6 +101,28 @@ class TestPool:
         with pytest.raises(IoFailure):
             QrnPool(tmp_path / "absent")
 
+    def test_concurrent_takes_are_disjoint(self, tmp_path):
+        # two processes race 300 4-byte takes each on one pool; every take
+        # must be a distinct 4-byte slot of the payload
+        path = tmp_path / "p.qrnp"
+        data = b"".join(i.to_bytes(4, "little") for i in range(600))
+        QrnPool.create(path, data)
+        src = str(Path(qrechacha.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys; from qrechacha import QrnPool; pool = QrnPool(sys.argv[1]); "
+                "print(' '.join(pool.take(4).hex() for _ in range(300)))")
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(path)], env=env,
+                                  stdout=subprocess.PIPE, text=True) for _ in range(2)]
+        takes = []
+        for proc in procs:
+            out, _ = proc.communicate(timeout=120)
+            assert proc.returncode == 0
+            takes += out.split()
+        assert sorted(bytes.fromhex(t) for t in takes) == \
+            sorted(data[i : i + 4] for i in range(0, len(data), 4))
+        assert QrnPool(path).remaining == 0
+
 
 class TestDeterministicProvider:
     def test_reproducible_stream(self):
@@ -130,6 +158,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/qrn"
     server.shutdown()
+    server.server_close()
 
 
 class TestFetchRemote:
@@ -165,6 +194,20 @@ class TestFetchRemote:
         provider = RemoteProvider(stub_server)
         assert provider.is_quantum is True
         assert provider.take(8) == bytes(8)
+
+    def test_only_http_schemes(self, tmp_path):
+        (tmp_path / "local").write_bytes(bytes(64))
+        for url in ((tmp_path / "local").as_uri(), "data:,abcdef", "ftp://127.0.0.1:9/qrn"):
+            with pytest.raises(ParamError):
+                fetch_remote(url, 3)
+        with pytest.raises(ParamError):
+            RemoteProvider("data:,abcdef").take(3)
+
+    def test_body_read_is_bounded(self, stub_server):
+        # hex digits fill the read bound exactly; the garbage after them is
+        # never read, so decoding succeeds
+        _StubHandler.body = b"11" * (BODY_BYTES_PER_BYTE * 4 // 2) + b"zz" * 100_000
+        assert fetch_remote(stub_server, 4, mode="hex") == b"\x11" * 4
 
 
 class TestDeriveSession:

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from qrechacha import CipherParams, QrnSessionMaterial, keystream_block
 from qrechacha import vector
@@ -21,14 +22,13 @@ def test_single_block_matches_scalar():
     for rounds in (2, 8, 12, 20):
         params = CipherParams(rand_words(8), rand_words(3), rand.getrandbits(32), rounds)
         for mat in (None, rand_material(rounds)):
-            assert vector.keystream_blocks(params, mat, params.counter, 1) == \
-                keystream_block(params, mat)
+            assert vector.keystream_bytes(params, mat, 64) == keystream_block(params, mat)
 
 
 def test_block_range_matches_scalar_loop():
     params = CipherParams(rand_words(8), rand_words(3), 1000, 12)
     mat = rand_material(12)
-    got = vector.keystream_blocks(params, mat, 1000, 9)
+    got = vector.keystream_bytes(params, mat, 9 * 64)
     for t in range(9):
         p = CipherParams(params.key, params.nonce, 1000 + t, 12)
         assert got[64 * t : 64 * (t + 1)] == keystream_block(p, mat)
@@ -44,21 +44,65 @@ def test_run_rounds_matches_scalar():
     assert [int(w) for w in x[:, 0]] == expect
 
 
-def test_chunk_boundaries_equal():
+def test_chunk_boundaries_equal(monkeypatch):
     params = CipherParams(rand_words(8), rand_words(3), 0, 8)
     mat = rand_material(8)
-    want = vector.keystream_bytes(params, mat, 1000, chunk_blocks=1 << 10)
+    want = b"".join(keystream_block(CipherParams(params.key, params.nonce, t, 8), mat)
+                    for t in range(16))[:1000]
     for chunk in (1, 2, 3, 7, 16):
-        assert vector.keystream_bytes(params, mat, 1000, chunk_blocks=chunk) == want
+        monkeypatch.setattr(vector, "CHUNK_BLOCKS", chunk)
+        assert vector.keystream_bytes(params, mat, 1000) == want
 
 
-def test_xor_chunk_boundaries_equal():
+def test_xor_chunk_boundaries_equal(monkeypatch):
     params = CipherParams(rand_words(8), rand_words(3), 0, 8)
     mat = rand_material(8)
     data = bytes(rand.getrandbits(8) for _ in range(1000))
-    want = vector.xor_with_keystream(params, mat, data, chunk_blocks=1 << 10)
-    for chunk in (1, 3, 7):
-        assert vector.xor_with_keystream(params, mat, data, chunk_blocks=chunk) == want
+    want = vector.xor_with_keystream(params, mat, data)
+    for chunk in (1, 2, 3, 7, 16):
+        monkeypatch.setattr(vector, "CHUNK_BLOCKS", chunk)
+        assert vector.xor_with_keystream(params, mat, data) == want
+
+
+def test_random_access_slices(monkeypatch):
+    # the XOR of a slice at its first block's counter equals the matching
+    # slice of the full XOR, also for slices that straddle chunk ends
+    monkeypatch.setattr(vector, "CHUNK_BLOCKS", 4)
+    chunk = 4 * 64
+    params = CipherParams(rand_words(8), rand_words(3), 77, 8)
+    mat = rand_material(8)
+    data = bytes(rand.getrandbits(8) for _ in range(4 * chunk))
+    full = vector.xor_with_keystream(params, mat, data)
+    for size in (0, 1, 63, 64, 65, chunk - 1, chunk, chunk + 1):
+        for block in (0, 1, 3, 5):
+            start = 64 * block
+            p = CipherParams(params.key, params.nonce, params.counter + block, 8)
+            got = vector.xor_with_keystream(p, mat, data[start : start + size])
+            assert got == full[start : start + size]
+
+
+def test_misaligned_memoryview_input():
+    params = CipherParams(rand_words(8), rand_words(3), 9, 20)
+    mat = rand_material(20)
+    for size in (1, 64, 200, 4097):
+        data = bytes(rand.getrandbits(8) for _ in range(size))
+        buf = bytearray(size + 1)
+        buf[1:] = data
+        view = memoryview(buf)[1:]
+        assert vector.xor_with_keystream(params, mat, view) == \
+            vector.xor_with_keystream(params, mat, data)
+
+
+def test_openssl_chacha20_cross_check():
+    ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+    key, nonce = rand.randbytes(32), rand.randbytes(12)
+    for counter, size in ((0, 1), (1, 64), (5, 1000), (2**32 - 3, 150)):
+        params = CipherParams.from_bytes(key, nonce, counter, 20)
+        data = rand.randbytes(size)
+        algo = ciphers.algorithms.ChaCha20(key, counter.to_bytes(4, "little") + nonce)
+        want = ciphers.Cipher(algo, mode=None).encryptor().update(data)
+        for mat in (None, QrnSessionMaterial.zero(20)):
+            assert vector.xor_with_keystream(params, mat, data) == want
 
 
 def test_keystream_bytes_prefix_property():
