@@ -3,12 +3,14 @@
 Times xor_stream over in-memory payloads with a fresh random key per
 repetition.  Key generation and QRN material derivation happen before the
 clock starts, matching a deployment where masks are pre-stored; one
-untimed warm-up repetition absorbs cold-start noise.  Absolute seconds are
+untimed warm-up repetition absorbs cold-start noise, and the garbage
+collector is off inside each timed call.  Absolute seconds are
 machine-specific; comparisons should be read as ratios.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -89,9 +91,13 @@ def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[
             xor_stream(params[0], material, payload)  # warm-up, untimed
         for rep in range(1, reps + 1):
             for result, material, params in runs:
-                t0 = time.perf_counter()
-                xor_stream(params[rep], material, payload)
-                t1 = time.perf_counter()
+                gc.disable()
+                try:
+                    t0 = time.perf_counter()
+                    xor_stream(params[rep], material, payload)
+                    t1 = time.perf_counter()
+                finally:
+                    gc.enable()
                 result.times.append(t1 - t0)
         results.extend(run[0] for run in runs)
     return results

@@ -7,12 +7,21 @@ P-values are uniform (10-bin chi-square P >= alpha_uniformity).
 
 Tests that cannot run at the given sequence length (pattern too long,
 sequence too short) become not-applicable rows instead of errors.
+
+Each sequence is wrapped once in the tests' per-sequence memo and every plan
+entry reads it: the bits are validated once, one packed-byte window pass at
+the widest window any applicable serial or approximate-entropy row needs
+feeds all of them (16 bits at n = 10**6, 11 at 2 * 10**5), and the four
+cumulative-sums rows share one partial-sum array.  The memo is dropped when
+the sequence is done.  With jobs > 1, sequences travel to the workers as
+packed bytes, at most 2 * jobs at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,11 +57,20 @@ class PlanEntry:
     kwargs: dict = field(default_factory=dict)
     complement: bool = False
 
-    def run(self, bits, alpha):
+    def run(self, seq, alpha):
         fn = getattr(stattests, self.func)
-        res = fn(bits ^ 1 if self.complement else bits, alpha=alpha, **self.kwargs)
+        res = fn(seq.bits ^ 1 if self.complement else seq, alpha=alpha, **self.kwargs)
         results = res if isinstance(res, tuple) else (res,)
         return [r.p_value for r in results]
+
+    def window(self, n: int) -> int:
+        """Widest cyclic window this entry reads from n bits; 0 if it reads
+        none or cannot run at n."""
+        width = stattests._WINDOW_WIDTH.get(self.func)
+        try:
+            return width(self.kwargs["m"], n) if width else 0
+        except ParamTooLarge:
+            return 0
 
 
 def _entry(row_id, label, func, complement=False, **kwargs):
@@ -258,16 +276,22 @@ def _provider_info(provider) -> tuple[str, bool]:
     return str(identity), bool(quantum)
 
 
-def _run_sequence(args):
-    packed, plan, alpha = args
-    bits = np.frombuffer(packed, dtype=np.uint8)
+def _run_sequence(bits, plan, alpha):
+    """P-values of every plan entry on one validated sequence (a string
+    for an entry that cannot run at its length)."""
+    seq = stattests._Sequence(bits, max(entry.window(bits.size) for entry in plan))
     out = []
     for entry in plan:
         try:
-            out.append(entry.run(bits, alpha))
+            out.append(entry.run(seq, alpha))
         except (SequenceTooShort, ParamTooLarge) as exc:
             out.append(str(exc))
     return out
+
+
+def _run_packed(packed, nbits, plan, alpha):
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=nbits)
+    return _run_sequence(bits, plan, alpha)
 
 
 def battery_run(
@@ -301,25 +325,29 @@ def battery_run(
             else:
                 p_values[i].extend(res)
 
-    seq_iter = (as_bits(s) for s in sequences)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = []
-            for bits in seq_iter:
-                if nbits is None:
-                    nbits = bits.size
-                elif bits.size != nbits:
-                    raise ParamError("all sequences must have the same length")
-                args.append((bits.tobytes(), plan, alpha))
-            for results in pool.map(_run_sequence, args, chunksize=4):
-                fold(results)
-    else:
-        for bits in seq_iter:
+    def same_length():
+        nonlocal nbits
+        for s in sequences:
+            bits = as_bits(s)
             if nbits is None:
                 nbits = bits.size
             elif bits.size != nbits:
                 raise ParamError("all sequences must have the same length")
-            fold(_run_sequence((bits, plan, alpha)))
+            yield bits
+
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            pending = deque()
+            for bits in same_length():
+                if len(pending) == 2 * jobs:
+                    fold(pending.popleft().result())
+                pending.append(pool.submit(_run_packed, np.packbits(bits).tobytes(),
+                                           bits.size, plan, alpha))
+            while pending:
+                fold(pending.popleft().result())
+    else:
+        for bits in same_length():
+            fold(_run_sequence(bits, plan, alpha))
 
     if count == 0:
         raise ParamError("battery needs at least one sequence")

@@ -7,6 +7,16 @@ additions: poker, binary derivation, autocorrelation, run distribution.
 Each test maps one bit sequence to a TestResult holding the statistic and
 its P-value; `passed` is P >= alpha.  A failed runs-test prerequisite is
 reported as a not-applicable result with P = 0 rather than an exception.
+
+Every test reads its sequence through a private per-sequence memo
+(`_Sequence`): the bits, validated once; the cyclic m-bit window counts that
+serial and approximate entropy read, from one packed-byte pass at the widest
+window asked for and exact folds below it (cyclic (m-1)-windows are the
+prefixes of cyclic m-windows, NIST SP 800-22 Rev. 1a, sections 2.11-2.12);
+and the partial sums that both cumulative-sums directions read.  A plain
+sequence gets a fresh memo per call; the battery builds one per sequence,
+sized to the widest window of its plan, and passes it as `seq`, so
+standalone and battery calls run the same code.
 """
 
 from __future__ import annotations
@@ -65,9 +75,71 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the n cyclic m-bit windows (sequence extended by m-1 bits).
+
+    One pass over packed bytes: the window starting at bit 8b + r is bits
+    r..r+m-1 of the big-endian 64-bit word starting at byte b, so eight
+    shifted, masked views of one word array cover every window.  64-bit
+    words hold any m <= 57, far past the 2**m counts that fit in memory.
+    """
+    n = bits.size
+    starts = (n + 7) // 8
+    packed = np.zeros(starts + 7, dtype=np.uint8)
+    raw = np.packbits(np.concatenate((bits, bits[: m - 1])))
+    packed[: raw.size] = raw
+    words = np.ndarray((starts,), dtype=">i8", buffer=packed, strides=(1,)).astype(np.int64)
+    mask = (1 << m) - 1
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for r in range(min(8, n)):
+        window = (words[: (n - r + 7) // 8] >> (64 - r - m)) & mask
+        counts += np.bincount(window, minlength=1 << m)
+    return counts
+
+
+class _Sequence:
+    """Per-sequence memo shared by every test run on one sequence.
+
+    `widest` is the largest window any later caller will ask for; the one
+    window pass runs at that width so smaller ones are folds of it.
+    """
+
+    __slots__ = ("bits", "n", "_widest", "_windows", "_sums")
+
+    def __init__(self, bits: np.ndarray, widest: int = 0):
+        self.bits = bits
+        self.n = bits.size
+        self._widest = widest
+        self._windows: dict[int, np.ndarray] = {}
+        self._sums = None
+
+    def window_counts(self, m: int) -> np.ndarray:
+        """Counts of the n cyclic m-bit windows, indexed by MSB-first value."""
+        if m > max(self._windows, default=0):
+            top = max(m, self._widest)
+            self._windows = {top: _pattern_counts(self.bits, top)}
+        while m not in self._windows:
+            low = min(self._windows)
+            self._windows[low - 1] = self._windows[low].reshape(-1, 2).sum(axis=1)
+        return self._windows[m]
+
+    def partial_sums(self) -> np.ndarray:
+        """S_1..S_n of the +/-1 mapping (|S_k| <= n, so 32 bits while n fits)."""
+        if self._sums is None:
+            sums = self.bits.astype(np.int32 if self.n < 2**31 else np.int64)
+            sums *= 2
+            sums -= 1
+            self._sums = np.cumsum(sums, out=sums)  # in place: one n-word array
+        return self._sums
+
+
+def _memo(seq) -> _Sequence:
+    return seq if isinstance(seq, _Sequence) else _Sequence(as_bits(seq))
+
+
 def monobit(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
     """Frequency test: S = #ones - #zeros, P = erfc(|S| / sqrt(2n))."""
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     n = bits.size
     s = 2 * int(bits.sum()) - n
     p = erfc(abs(s) / math.sqrt(2.0 * n))
@@ -76,7 +148,7 @@ def monobit(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
 
 def block_frequency(seq, block_len: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
     """Chi-square of per-block one-proportions; trailing bits are discarded."""
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     if block_len < 1:
         raise ParamError("block_len must be >= 1")
     nblocks = bits.size // block_len
@@ -94,7 +166,7 @@ def runs(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
     Prerequisite |pi - 1/2| < 2/sqrt(n); when it fails the result is marked
     not applicable with P = 0 (counted as a failure downstream).
     """
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     n = bits.size
     pi = float(bits.mean())
     if pi in (0.0, 1.0) or abs(pi - 0.5) >= 2.0 / math.sqrt(n):
@@ -118,7 +190,7 @@ def longest_run_of_ones(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
     Block length and classes depend on n (M = 8 / 128 / 10000).  For the
     max-run-of-zeros variant feed the complemented sequence.
     """
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     n = bits.size
     if n < 128:
         raise SequenceTooShort(f"longest-run test needs n >= 128, got {n}")
@@ -139,15 +211,21 @@ def longest_run_of_ones(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
 
 
 def cumulative_sums(seq, backward: bool = False, alpha: float = ALPHA_DEFAULT) -> TestResult:
-    """Maximum partial sum of the +/-1 mapping, two-sided normal series."""
-    bits = as_bits(seq)
-    n = bits.size
+    """Maximum partial sum of the +/-1 mapping, two-sided normal series.
+
+    With S_0 = 0 and S_k the forward partial sums, the backward partial sums
+    are S_n - S_j, so both directions read the one forward array.
+    """
+    seq = _memo(seq)
+    n = seq.n
     if n < 100:
         raise SequenceTooShort(f"cumulative-sums test needs n >= 100, got {n}")
-    steps = bits.astype(np.int64) * 2 - 1
+    sums = seq.partial_sums()
     if backward:
-        steps = steps[::-1]
-    z = int(np.abs(np.cumsum(steps)).max())
+        end, head = int(sums[-1]), sums[:-1]
+        z = max(end - min(0, int(head.min())), max(0, int(head.max())) - end)
+    else:
+        z = max(int(sums.max()), -int(sums.min()))
     sn = math.sqrt(n)
     ratio = Fraction(n, z)
     lo1, hi = math.ceil((1 - ratio) / 4), math.floor((ratio - 1) / 4)
@@ -161,14 +239,26 @@ def cumulative_sums(seq, backward: bool = False, alpha: float = ALPHA_DEFAULT) -
     return TestResult("cumulative_sums", {"n": n, "direction": direction}, float(z), p, alpha)
 
 
-def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n cyclic m-bit windows (sequence extended by m-1 bits)."""
-    n = bits.size
-    ext = np.concatenate((bits, bits[: m - 1])) if m > 1 else bits
-    acc = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        acc = (acc << 1) | ext[j : j + n]
-    return np.bincount(acc, minlength=1 << m)
+def _apen_width(m: int, n: int) -> int:
+    """Widest window ApEn(m) reads from n bits; raises if m does not fit n."""
+    if m < 1:
+        raise ParamError("pattern length m must be >= 1")
+    if m >= math.log2(n):
+        raise ParamTooLarge(f"approximate entropy needs m < log2(n), got m={m}, n={n}")
+    return m + 1
+
+
+def _serial_width(m: int, n: int) -> int:
+    """Widest window serial(m) reads from n bits; raises if m does not fit n."""
+    if m < 2:
+        raise ParamError("serial test needs m >= 2")
+    if m >= math.log2(n) - 2:
+        raise ParamTooLarge(f"serial test needs m < log2(n) - 2, got m={m}, n={n}")
+    return m
+
+
+# widest window of each test that reads cyclic window counts, by test name
+_WINDOW_WIDTH = {"approximate_entropy": _apen_width, "serial": _serial_width}
 
 
 def approximate_entropy(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
@@ -177,20 +267,18 @@ def approximate_entropy(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult
     Computes whenever m < log2(n); battery parameter choices stay under the
     stricter log2(n) - 5 rule so the chi-square approximation holds.
     """
-    bits = as_bits(seq)
-    n = bits.size
-    if m < 1:
-        raise ParamError("pattern length m must be >= 1")
-    if m >= math.log2(n):
-        raise ParamTooLarge(f"approximate entropy needs m < log2(n), got m={m}, n={n}")
+    seq = _memo(seq)
+    n = seq.n
+    _apen_width(m, n)
 
     def phi(mm: int) -> float:
-        counts = _pattern_counts(bits, mm)
+        counts = seq.window_counts(mm)
         counts = counts[counts > 0].astype(np.float64)
         freq = counts / n
         return float((freq * np.log(freq)).sum())
 
-    apen = phi(m) - phi(m + 1)
+    wide = phi(m + 1)  # the wider window first: the narrower one is its fold
+    apen = phi(m) - wide
     chi = max(0.0, 2.0 * n * (math.log(2.0) - apen))
     p = igamc(2 ** (m - 1), chi / 2.0)
     return TestResult("approximate_entropy", {"m": m, "n": n, "apen": apen}, chi, p, alpha)
@@ -201,17 +289,14 @@ def serial(seq, m: int, alpha: float = ALPHA_DEFAULT) -> tuple[TestResult, TestR
 
     Returns two results: first difference and second difference P-values.
     """
-    bits = as_bits(seq)
-    n = bits.size
-    if m < 2:
-        raise ParamError("serial test needs m >= 2")
-    if m >= math.log2(n) - 2:
-        raise ParamTooLarge(f"serial test needs m < log2(n) - 2, got m={m}, n={n}")
+    seq = _memo(seq)
+    n = seq.n
+    _serial_width(m, n)
 
     def psi2(mm: int) -> float:
         if mm == 0:
             return 0.0
-        counts = _pattern_counts(bits, mm).astype(np.float64)
+        counts = seq.window_counts(mm).astype(np.float64)
         return float((2.0**mm / n) * (counts * counts).sum() - n)
 
     pm, pm1, pm2 = psi2(m), psi2(m - 1), psi2(m - 2)
@@ -228,7 +313,7 @@ def serial(seq, m: int, alpha: float = ALPHA_DEFAULT) -> tuple[TestResult, TestR
 
 def poker(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
     """Occupancy chi-square over non-overlapping m-bit block patterns."""
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     if m < 1:
         raise ParamError("poker block length m must be >= 1")
     nblocks = bits.size // m
@@ -246,7 +331,7 @@ def poker(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
 
 def binary_derivation(seq, k: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
     """Monobit statistic after k adjacent-XOR derivative passes."""
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     if k < 0:
         raise ParamError("derivation count k must be >= 0")
     n = bits.size - k
@@ -262,7 +347,7 @@ def binary_derivation(seq, k: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
 
 def autocorrelation(seq, shift: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
     """Agreement between the sequence and its d-shift: A(d) = sum e_i xor e_{i+d}."""
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     if shift < 1:
         raise ParamError("shift d must be >= 1")
     n = bits.size - shift
@@ -281,7 +366,7 @@ def run_distribution(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
     count (n - i + 3) / 2**(i+2) is at least 5; longer runs still count
     toward the total but are not classified.  df = 2e - 2.
     """
-    bits = as_bits(seq)
+    bits = _memo(seq).bits
     n = bits.size
     if n < 100:
         raise SequenceTooShort(f"run-distribution test needs n >= 100, got {n}")

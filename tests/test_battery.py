@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from qrechacha import DeterministicProvider, ParamError
-from qrechacha.randtests import battery_run, proportion_interval, uniformity_p_value
+from qrechacha import ParamTooLarge, SequenceTooShort
+from qrechacha.randtests import battery, battery_run, proportion_interval, uniformity_p_value
+from qrechacha.randtests import tests as stattests
 from qrechacha.randtests.battery import build_plan
 
 RNG = np.random.default_rng(5150)
@@ -89,14 +92,60 @@ def test_mismatched_lengths_rejected():
                     suite="gmt", provider=PROVIDER)
 
 
+def test_mismatched_lengths_rejected_in_parallel():
+    seqs = [np.zeros(1000, dtype=np.uint8)] * 6 + [np.zeros(999, dtype=np.uint8)]
+    with pytest.raises(ParamError):
+        battery_run(seqs, suite="gmt", provider=PROVIDER, jobs=2)
+
+
 def test_parallel_jobs_agree_with_serial():
-    seqs = make_sequences(8, 20_000, np.random.default_rng(7))
-    a = battery_run(seqs, suite="gmt", provider=PROVIDER, jobs=1)
-    b = battery_run(seqs, suite="gmt", provider=PROVIDER, jobs=2)
-    for la, lb in zip(a.lines, b.lines):
-        assert la.row_id == lb.row_id
-        assert la.pass_count == lb.pass_count
-        assert la.uniformity_p == lb.uniformity_p
+    # 20 001 bits: the packed bytes the workers get end in a partial byte;
+    # 12 sequences: more than the 2 * jobs in flight, and enough for a
+    # uniformity P-value on every row
+    seqs = make_sequences(12, 20_001, np.random.default_rng(7))
+    a = battery_run(seqs, suite="both", provider=PROVIDER, jobs=1)
+    b = battery_run(seqs, suite="both", provider=PROVIDER, jobs=2)
+    assert a.bits_per_sequence == b.bits_per_sequence == 20_001
+    assert [line.row_id for line in a.lines] == [line.row_id for line in b.lines]
+    assert a.lines == b.lines
+
+
+def public_results(bits, plan, alpha=0.01):
+    """What each plan entry gives when its public test runs on a plain array."""
+    out = []
+    for entry in plan:
+        fn = getattr(stattests, entry.func)
+        try:
+            res = fn(bits ^ 1 if entry.complement else bits, alpha=alpha, **entry.kwargs)
+        except (SequenceTooShort, ParamTooLarge) as exc:
+            out.append(str(exc))
+            continue
+        out.append([r.p_value for r in (res if isinstance(res, tuple) else (res,))])
+    return out
+
+
+@pytest.mark.parametrize("nbits, widest", [(1_000_000, 16), (200_000, 11), (1000, 6)])
+def test_shared_memo_equals_public_tests(monkeypatch, nbits, widest):
+    bits = np.random.default_rng(nbits).integers(0, 2, nbits, dtype=np.uint8)
+    plan = build_plan("both")
+    want = public_results(bits, plan)
+    passes = []
+    counts = stattests._pattern_counts
+    monkeypatch.setattr(stattests, "_pattern_counts",
+                        lambda b, m: passes.append(m) or counts(b, m))
+    got = battery._run_sequence(bits, plan, 0.01)
+    assert got == want
+    assert passes == [widest]  # one window pass per sequence, folds for the rest
+
+
+def test_megabit_p_values_pinned():
+    # every P-value of the NIST + GM/T plan, exactly as the per-m window
+    # loop computed them before the shared window pass
+    digest = hashlib.shake_256(b"qrechacha battery pin").digest(125_000)
+    bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))
+    got = battery._run_sequence(bits, build_plan("both"), 0.01)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "7b02b52d602cccacc2c94881c808d48f9a2cda1576c2e3951be21c430fc53455")
 
 
 def test_report_emissions():

@@ -18,6 +18,18 @@ def test_bench_result_fields():
     assert res.ns_per_byte == pytest.approx(res.mean_seconds / res.payload_bytes * 1e9)
 
 
+def test_timed_calls_run_without_gc(monkeypatch):
+    import gc
+
+    from qrechacha import bench
+
+    seen = []
+    monkeypatch.setattr(bench, "xor_stream", lambda *args: seen.append(gc.isenabled()))
+    run_sweep([("chacha", 8)], sizes_mb=(0.001,), reps=5)
+    assert seen == [True] + [False] * 5  # untimed warm-up, then the timed reps
+    assert gc.isenabled()
+
+
 def test_validation():
     with pytest.raises(ParamError):
         run_sweep([("rc4", 8)], sizes_mb=(0.001,))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qrechacha import ParamTooLarge, SequenceTooShort
+from qrechacha.randtests import tests as stattests
 from qrechacha.randtests import (
     approximate_entropy,
     as_bits,
@@ -144,6 +145,27 @@ class TestCumulativeSums:
         got = cumulative_sums(bits).p_value
         assert abs(got - oracles.oracle_cusum(bits.tolist())) < 1e-9
 
+    @pytest.mark.parametrize("text", ["1" * 60 + "0" * 40, "0" * 40 + "1" * 60,
+                                      "1" * 60 + "01" * 20, "0" * 60 + "10" * 20, "1" * 100])
+    def test_backward_walk_from_forward_sums(self, text):
+        # backward partial sums are S_n - S_j for j = 0..n-1; in the last
+        # three the extreme is at j = 0, which only the S_0 = 0 term reaches
+        bits = as_bits(text)
+        steps = bits.astype(np.int64) * 2 - 1
+        for backward in (False, True):
+            res = cumulative_sums(bits, backward=backward)
+            walk = np.cumsum(steps[::-1] if backward else steps)
+            assert res.statistic == float(np.abs(walk).max())
+            want = oracles.oracle_cusum(bits.tolist(), backward=backward)
+            assert abs(res.p_value - want) < 1e-9
+
+    def test_megabit_statistic_equals_reversed_walk(self):
+        steps = MEGABIT.astype(np.int64) * 2 - 1
+        for backward in (False, True):
+            walk = np.cumsum(steps[::-1] if backward else steps)
+            assert cumulative_sums(MEGABIT, backward=backward).statistic == float(
+                np.abs(walk).max())
+
     def test_megabit_matches_oracle_both_directions(self):
         for backward in (False, True):
             got = cumulative_sums(MEGABIT, backward=backward).p_value
@@ -204,6 +226,60 @@ class TestSerial:
         w1, w2 = oracles.oracle_serial(bits.tolist(), 5)
         assert abs(r1.p_value - w1) < 1e-6
         assert abs(r2.p_value - w2) < 1e-6
+
+
+def reference_counts(bits, m):
+    """Cyclic m-window counts by m int64 shift/OR passes over the bits."""
+    n = bits.size
+    ext = np.concatenate((bits, bits[: m - 1])) if m > 1 else bits
+    acc = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        acc = (acc << 1) | ext[j : j + n]
+    return np.bincount(acc, minlength=1 << m)
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("n", [1, 5, 7, 17, 18, 31, 1000, 20_001])
+    def test_packed_pass_matches_shift_loop(self, n):
+        bits = RNG.integers(0, 2, n, dtype=np.uint8)
+        for m in range(1, 17):
+            if n < m - 1:
+                continue
+            got = stattests._pattern_counts(bits, m)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference_counts(bits, m)), (n, m)
+
+    def test_length_one_short_of_window(self):
+        # n = m - 1: the cyclic extension is the sequence twice over
+        for m in range(2, 17):
+            bits = RNG.integers(0, 2, m - 1, dtype=np.uint8)
+            assert np.array_equal(stattests._pattern_counts(bits, m),
+                                  reference_counts(bits, m)), m
+
+    def test_wide_windows(self):
+        bits = RNG.integers(0, 2, 3_000_001, dtype=np.uint8)
+        for m in (17, 20):
+            assert np.array_equal(stattests._pattern_counts(bits, m),
+                                  reference_counts(bits, m)), m
+
+    @pytest.mark.parametrize("n", [3, 9, 64, 257])
+    def test_matches_oracle_counts(self, n):
+        bits = RNG.integers(0, 2, n, dtype=np.uint8)
+        for m in range(1, min(7, n + 2)):
+            want = np.zeros(1 << m, dtype=np.int64)
+            for pattern, count in oracles._cyclic_counts(bits.tolist(), m).items():
+                want[int("".join(map(str, pattern)), 2)] = count
+            assert np.array_equal(stattests._pattern_counts(bits, m), want), (n, m)
+
+    @pytest.mark.parametrize("n", [18, 1000, 20_001])
+    def test_fold_identity(self, n):
+        bits = RNG.integers(0, 2, n, dtype=np.uint8)
+        memo = stattests._Sequence(bits, widest=16)
+        for m in range(16, 1, -1):
+            wide = stattests._pattern_counts(bits, m)
+            assert np.array_equal(wide.reshape(-1, 2).sum(axis=1),
+                                  stattests._pattern_counts(bits, m - 1)), (n, m)
+            assert np.array_equal(memo.window_counts(m), wide), (n, m)
 
 
 class TestPoker:
