@@ -16,7 +16,7 @@ import numpy as np
 
 from . import vector
 from .cipher import CipherParams, QrnSessionMaterial, _check_rounds, _check_words
-from .errors import ParamError
+from .errors import MaskCountMismatch, ParamError
 
 FLIP_SEGMENTS = {"key": (4, 256), "nonce": (13, 96), "counter": (12, 32)}
 
@@ -189,7 +189,8 @@ def empirical_diff_probability(
     qrn_mode "fixed" runs both sides under one session material (None means
     zero masks, i.e. plain propagation).  "resampled" draws fresh,
     independent masks per sample and per side, rejecting draws whose mask
-    difference equals the state difference at the injected words.
+    difference equals the state difference at the injected words.  Fixed
+    material for another round count raises MaskCountMismatch.
     """
     if qrn_mode not in ("fixed", "resampled"):
         raise ParamError(f"qrn_mode must be 'fixed' or 'resampled', got {qrn_mode!r}")
@@ -198,7 +199,9 @@ def empirical_diff_probability(
     if spec.rounds > 4:
         raise ParamError("estimator is only meaningful for rounds <= 4")
     if qrn_mode == "fixed" and material is not None and material.rounds != spec.rounds:
-        raise ParamError("material round count does not match spec.rounds")
+        raise MaskCountMismatch(
+            f"material covers {material.rounds} rounds but the spec uses {spec.rounds}"
+        )
     rng = np.random.default_rng(rng)
     in_diff = np.array(spec.input_diff, dtype=np.uint32)[:, None]
     out_diff = np.array(spec.output_diff, dtype=np.uint32)[:, None]

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import analysis, bench, generate, qrn
 from .cipher import CipherParams, ROUND_PRESETS, xor_stream
 from .errors import IoFailure, ParamError, QreChachaError, VerificationFailure
-from .randtests.battery import battery_run
+from .randtests.battery import SUITES, battery_run
 from .randtests.bits import bits_from_bytes
 
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_material_derive)
 
     p = sub.add_parser("test", help="run the randomness battery")
-    p.add_argument("--suite", choices=("nist", "gmt", "both"), default="both")
+    p.add_argument("--suite", choices=SUITES, default="both")
     p.add_argument("--sequences", type=int, default=100)
     p.add_argument("--bits", type=int, default=1_000_000)
     p.add_argument("--rounds", type=int, default=8)

@@ -116,12 +116,17 @@ def spec_from_manifest(path) -> CorpusSpec:
         raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IoFailure(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IoFailure(f"manifest {path} is not a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise IoFailure(f"unsupported manifest version in {path}")
-    return CorpusSpec(
-        seed=bytes.fromhex(manifest["seed"]),
-        count=int(manifest["count"]),
-        bits=int(manifest["bits"]),
-        rounds=int(manifest["rounds"]),
-        counter=int(manifest["counter"]),
-    )
+    try:
+        return CorpusSpec(
+            seed=bytes.fromhex(manifest["seed"]),
+            count=int(manifest["count"]),
+            bits=int(manifest["bits"]),
+            rounds=int(manifest["rounds"]),
+            counter=int(manifest["counter"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoFailure(f"manifest {path} is malformed: {exc!r}") from exc

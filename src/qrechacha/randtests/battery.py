@@ -8,13 +8,16 @@ P-values are uniform (10-bin chi-square P >= alpha_uniformity).
 Tests that cannot run at the given sequence length (pattern too long,
 sequence too short) become not-applicable rows instead of errors.
 
-Each sequence is wrapped once in the tests' per-sequence memo and every plan
-entry reads it: the bits are validated once, one packed-byte window pass at
-the widest window any applicable serial or approximate-entropy row needs
-feeds all of them (16 bits at n = 10**6, 11 at 2 * 10**5), and the four
-cumulative-sums rows share one partial-sum array.  The memo is dropped when
-the sequence is done.  With jobs > 1, sequences travel to the workers as
-packed bytes, at most 2 * jobs at a time.
+The plan is one table of report rows, each naming the test call that
+computes it.  Rows naming the same call (the frequency, runs, longest-run
+and cumulative-sums rows both suites have, the two serial P-values) share
+one run of it per sequence.  Each sequence is wrapped once in the tests'
+per-sequence memo and every call reads it: the bits are validated once, one
+packed-byte window pass at the widest window any applicable serial or
+approximate-entropy row needs feeds all of them (16 bits at n = 10**6, 11 at
+2 * 10**5), and both cumulative-sums directions share one partial-sum array.
+The memo is dropped when the sequence is done.  With jobs > 1, sequences
+travel to the workers as packed bytes, at most 2 * jobs at a time.
 """
 
 from __future__ import annotations
@@ -35,36 +38,22 @@ from .special import igamc
 SUITES = ("nist", "gmt", "both")
 UNIFORMITY_BINS = 10
 
-# NIST parameterizations follow the reference tool defaults; GM/T rows use
-# the standard's parameter sets.
-NIST_BLOCK_LEN = 128
-NIST_APEN_M = 10
-NIST_SERIAL_M = 16
-GMT_BLOCK_LEN = 10000
-GMT_POKER_M = (4, 8)
-GMT_DERIVATION_K = (3, 7)
-GMT_AUTOCORR_D = (1, 2, 8, 16)
-GMT_APEN_M = (2, 5)
-
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One battery test invocation, possibly emitting several report rows."""
+    """One report row: the test call (func, kwargs, complement) that computes
+    it and which of that call's results it reads (`part`; serial returns two).
+    Rows naming the same call share one run per sequence."""
 
-    row_ids: tuple[str, ...]
-    labels: tuple[str, ...]
+    row_id: str
+    label: str
     func: str
     kwargs: dict = field(default_factory=dict)
     complement: bool = False
-
-    def run(self, seq, alpha):
-        fn = getattr(stattests, self.func)
-        res = fn(seq.bits ^ 1 if self.complement else seq, alpha=alpha, **self.kwargs)
-        results = res if isinstance(res, tuple) else (res,)
-        return [r.p_value for r in results]
+    part: int = 0
 
     def window(self, n: int) -> int:
-        """Widest cyclic window this entry reads from n bits; 0 if it reads
+        """Widest cyclic window this row reads from n bits; 0 if it reads
         none or cannot run at n."""
         width = stattests._WINDOW_WIDTH.get(self.func)
         try:
@@ -73,73 +62,55 @@ class PlanEntry:
             return 0
 
 
-def _entry(row_id, label, func, complement=False, **kwargs):
-    return PlanEntry((row_id,), (label,), func, kwargs, complement)
-
-
-def nist_plan() -> list[PlanEntry]:
-    return [
-        _entry("nist/frequency", "Frequency", "monobit"),
-        _entry("nist/block_frequency", f"Block Frequency (M={NIST_BLOCK_LEN})",
-               "block_frequency", block_len=NIST_BLOCK_LEN),
-        _entry("nist/cumulative_sums_forward", "Cumulative Sums (Forward)",
-               "cumulative_sums", backward=False),
-        _entry("nist/cumulative_sums_backward", "Cumulative Sums (Backward)",
-               "cumulative_sums", backward=True),
-        _entry("nist/runs", "Runs", "runs"),
-        _entry("nist/longest_run_of_ones", "Longest Run of Ones", "longest_run_of_ones"),
-        _entry("nist/approximate_entropy", f"Approximate Entropy (m={NIST_APEN_M})",
-               "approximate_entropy", m=NIST_APEN_M),
-        PlanEntry(
-            ("nist/serial_p1", "nist/serial_p2"),
-            (f"Serial (m={NIST_SERIAL_M}) P1", f"Serial (m={NIST_SERIAL_M}) P2"),
-            "serial",
-            {"m": NIST_SERIAL_M},
-        ),
-    ]
-
-
-def gmt_plan() -> list[PlanEntry]:
-    plan = [
-        _entry("gmt/frequency", "Single Bit Frequency", "monobit"),
-        _entry("gmt/block_frequency", f"Block Frequency (m={GMT_BLOCK_LEN})",
-               "block_frequency", block_len=GMT_BLOCK_LEN),
-    ]
-    for m in GMT_POKER_M:
-        plan.append(_entry(f"gmt/poker_m{m}", f"Poker Test (m={m})", "poker", m=m))
-    plan += [
-        _entry("gmt/total_runs", "Total Runs", "runs"),
-        _entry("gmt/run_distribution", "Run Distribution", "run_distribution"),
-        _entry("gmt/max_run_of_ones", "Max Run of 1s", "longest_run_of_ones"),
-        _entry("gmt/max_run_of_zeros", "Max Run of 0s", "longest_run_of_ones", complement=True),
-    ]
-    for k in GMT_DERIVATION_K:
-        plan.append(_entry(f"gmt/binary_derivation_k{k}", f"Binary Derivation (k={k})",
-                           "binary_derivation", k=k))
-    for d in GMT_AUTOCORR_D:
-        plan.append(_entry(f"gmt/autocorrelation_d{d}", f"Autocorrelation (d={d})",
-                           "autocorrelation", shift=d))
-    plan += [
-        _entry("gmt/cumulative_sums_forward", "Cumulative Sums (Forward)",
-               "cumulative_sums", backward=False),
-        _entry("gmt/cumulative_sums_backward", "Cumulative Sums (Backward)",
-               "cumulative_sums", backward=True),
-    ]
-    for m in GMT_APEN_M:
-        plan.append(_entry(f"gmt/approximate_entropy_m{m}", f"Approximate Entropy (m={m})",
-                           "approximate_entropy", m=m))
-    return plan
+# NIST parameterizations follow the reference tool defaults; GM/T rows use
+# the standard's parameter sets.
+ROWS = (
+    PlanEntry("nist/frequency", "Frequency", "monobit"),
+    PlanEntry("nist/block_frequency", "Block Frequency (M=128)", "block_frequency",
+              {"block_len": 128}),
+    PlanEntry("nist/cumulative_sums_forward", "Cumulative Sums (Forward)", "cumulative_sums",
+              {"backward": False}),
+    PlanEntry("nist/cumulative_sums_backward", "Cumulative Sums (Backward)", "cumulative_sums",
+              {"backward": True}),
+    PlanEntry("nist/runs", "Runs", "runs"),
+    PlanEntry("nist/longest_run_of_ones", "Longest Run of Ones", "longest_run_of_ones"),
+    PlanEntry("nist/approximate_entropy", "Approximate Entropy (m=10)", "approximate_entropy",
+              {"m": 10}),
+    PlanEntry("nist/serial_p1", "Serial (m=16) P1", "serial", {"m": 16}),
+    PlanEntry("nist/serial_p2", "Serial (m=16) P2", "serial", {"m": 16}, part=1),
+    PlanEntry("gmt/frequency", "Single Bit Frequency", "monobit"),
+    PlanEntry("gmt/block_frequency", "Block Frequency (m=10000)", "block_frequency",
+              {"block_len": 10000}),
+    PlanEntry("gmt/poker_m4", "Poker Test (m=4)", "poker", {"m": 4}),
+    PlanEntry("gmt/poker_m8", "Poker Test (m=8)", "poker", {"m": 8}),
+    PlanEntry("gmt/total_runs", "Total Runs", "runs"),
+    PlanEntry("gmt/run_distribution", "Run Distribution", "run_distribution"),
+    PlanEntry("gmt/max_run_of_ones", "Max Run of 1s", "longest_run_of_ones"),
+    PlanEntry("gmt/max_run_of_zeros", "Max Run of 0s", "longest_run_of_ones", complement=True),
+    PlanEntry("gmt/binary_derivation_k3", "Binary Derivation (k=3)", "binary_derivation",
+              {"k": 3}),
+    PlanEntry("gmt/binary_derivation_k7", "Binary Derivation (k=7)", "binary_derivation",
+              {"k": 7}),
+    PlanEntry("gmt/autocorrelation_d1", "Autocorrelation (d=1)", "autocorrelation", {"shift": 1}),
+    PlanEntry("gmt/autocorrelation_d2", "Autocorrelation (d=2)", "autocorrelation", {"shift": 2}),
+    PlanEntry("gmt/autocorrelation_d8", "Autocorrelation (d=8)", "autocorrelation", {"shift": 8}),
+    PlanEntry("gmt/autocorrelation_d16", "Autocorrelation (d=16)", "autocorrelation",
+              {"shift": 16}),
+    PlanEntry("gmt/cumulative_sums_forward", "Cumulative Sums (Forward)", "cumulative_sums",
+              {"backward": False}),
+    PlanEntry("gmt/cumulative_sums_backward", "Cumulative Sums (Backward)", "cumulative_sums",
+              {"backward": True}),
+    PlanEntry("gmt/approximate_entropy_m2", "Approximate Entropy (m=2)", "approximate_entropy",
+              {"m": 2}),
+    PlanEntry("gmt/approximate_entropy_m5", "Approximate Entropy (m=5)", "approximate_entropy",
+              {"m": 5}),
+)
 
 
 def build_plan(suite: str) -> list[PlanEntry]:
     if suite not in SUITES:
         raise ParamError(f"suite must be one of {SUITES}, got {suite!r}")
-    plan = []
-    if suite in ("nist", "both"):
-        plan += nist_plan()
-    if suite in ("gmt", "both"):
-        plan += gmt_plan()
-    return plan
+    return [entry for entry in ROWS if suite == "both" or entry.row_id.startswith(suite + "/")]
 
 
 def proportion_interval(alpha: float, s: int) -> tuple[float, float]:
@@ -277,15 +248,22 @@ def _provider_info(provider) -> tuple[str, bool]:
 
 
 def _run_sequence(bits, plan, alpha):
-    """P-values of every plan entry on one validated sequence (a string
-    for an entry that cannot run at its length)."""
+    """One P-value per plan row on one validated sequence (a string for a
+    row that cannot run at its length).  Each distinct call runs once."""
     seq = stattests._Sequence(bits, max(entry.window(bits.size) for entry in plan))
+    calls = {}
     out = []
     for entry in plan:
-        try:
-            out.append(entry.run(seq, alpha))
-        except (SequenceTooShort, ParamTooLarge) as exc:
-            out.append(str(exc))
+        key = (entry.func, tuple(sorted(entry.kwargs.items())), entry.complement)
+        if key not in calls:
+            fn = getattr(stattests, entry.func)
+            try:
+                res = fn(seq.bits ^ 1 if entry.complement else seq, alpha=alpha, **entry.kwargs)
+                calls[key] = res if isinstance(res, tuple) else (res,)
+            except (SequenceTooShort, ParamTooLarge) as exc:
+                calls[key] = str(exc)
+        res = calls[key]
+        out.append(res if isinstance(res, str) else res[entry.part].p_value)
     return out
 
 
@@ -311,19 +289,8 @@ def battery_run(
     plan = build_plan(suite)
     identity, quantum = _provider_info(provider)
 
-    p_values: list[list[float]] = [[] for _ in plan]
-    na_note: list[str | None] = [None] * len(plan)
+    results: list[list] = []  # per sequence: one P-value or note per row
     nbits = None
-    count = 0
-
-    def fold(results):
-        nonlocal count
-        count += 1
-        for i, res in enumerate(results):
-            if isinstance(res, str):
-                na_note[i] = res
-            else:
-                p_values[i].extend(res)
 
     def same_length():
         nonlocal nbits
@@ -340,33 +307,34 @@ def battery_run(
             pending = deque()
             for bits in same_length():
                 if len(pending) == 2 * jobs:
-                    fold(pending.popleft().result())
+                    results.append(pending.popleft().result())
                 pending.append(pool.submit(_run_packed, np.packbits(bits).tobytes(),
                                            bits.size, plan, alpha))
             while pending:
-                fold(pending.popleft().result())
+                results.append(pending.popleft().result())
     else:
         for bits in same_length():
-            fold(_run_sequence(bits, plan, alpha))
+            results.append(_run_sequence(bits, plan, alpha))
 
-    if count == 0:
+    if not results:
         raise ParamError("battery needs at least one sequence")
+    count = len(results)
 
     interval = proportion_interval(alpha, count)
     lines = []
-    for entry, pvals, note in zip(plan, p_values, na_note):
-        for j, (row_id, label) in enumerate(zip(entry.row_ids, entry.labels)):
-            if note is not None:
-                lines.append(BatteryLine(row_id, label, 0, count, 0.0, interval,
-                                         None, [0] * UNIFORMITY_BINS, False, note))
-                continue
-            rows = np.asarray(pvals[j::len(entry.row_ids)], dtype=np.float64)
-            passes = int((rows >= alpha).sum())
-            bins = np.minimum((rows * UNIFORMITY_BINS).astype(np.int64), UNIFORMITY_BINS - 1)
-            hist = np.bincount(bins, minlength=UNIFORMITY_BINS).tolist()
-            uni = uniformity_p_value(rows) if count >= 10 else None
-            lines.append(BatteryLine(row_id, label, passes, count, passes / count,
-                                     interval, uni, hist))
+    # whether a row can run depends only on the length, which all sequences share
+    for entry, column in zip(plan, zip(*results)):
+        if isinstance(column[0], str):
+            lines.append(BatteryLine(entry.row_id, entry.label, 0, count, 0.0, interval,
+                                     None, [0] * UNIFORMITY_BINS, False, column[0]))
+            continue
+        rows = np.asarray(column, dtype=np.float64)
+        passes = int((rows >= alpha).sum())
+        bins = np.minimum((rows * UNIFORMITY_BINS).astype(np.int64), UNIFORMITY_BINS - 1)
+        hist = np.bincount(bins, minlength=UNIFORMITY_BINS).tolist()
+        uni = uniformity_p_value(rows) if count >= 10 else None
+        lines.append(BatteryLine(entry.row_id, entry.label, passes, count, passes / count,
+                                 interval, uni, hist))
     return BatteryReport(
         suite=suite,
         alpha=alpha,

@@ -376,10 +376,10 @@ def run_distribution(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
     change = np.flatnonzero(bits[1:] != bits[:-1])
     bounds = np.concatenate(([0], change + 1, [n]))
     lengths = np.diff(bounds)
-    starts = bits[bounds[:-1]]
     total = lengths.size
-    ones = np.bincount(lengths[starts == 1], minlength=e + 1)[1 : e + 1]
-    zeros = np.bincount(lengths[starts == 0], minlength=e + 1)[1 : e + 1]
+    first = int(bits[0])  # runs alternate, starting with the value of bit 0
+    ones = np.bincount(lengths[1 - first :: 2], minlength=e + 1)[1 : e + 1]
+    zeros = np.bincount(lengths[first::2], minlength=e + 1)[1 : e + 1]
     expected = total / 2.0 ** (np.arange(1, e + 1) + 1)
     v = float((((ones - expected) ** 2 + (zeros - expected) ** 2) / expected).sum())
     p = igamc(e - 1.0, v / 2.0)

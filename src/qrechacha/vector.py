@@ -18,6 +18,8 @@ import numpy as np
 
 from .cipher import (
     BLOCK_BYTES,
+    COLUMN_GROUPS,
+    DIAGONAL_GROUPS,
     blocks_needed,
     check_counter_span,
     init_state,
@@ -59,22 +61,14 @@ def run_rounds(x: np.ndarray, rounds: int, round_masks=None) -> np.ndarray:
     """
     t = np.empty_like(x[0])
     for r in range(rounds):
-        if r % 2 == 0:
-            if round_masks is not None:
-                m = round_masks[r >> 1]
-                x[0] ^= m[0]
-                x[1] ^= m[1]
-                x[2] ^= m[2]
-                x[3] ^= m[3]
-            _qr(x, 0, 4, 8, 12, t)
-            _qr(x, 1, 5, 9, 13, t)
-            _qr(x, 2, 6, 10, 14, t)
-            _qr(x, 3, 7, 11, 15, t)
-        else:
-            _qr(x, 0, 5, 10, 15, t)
-            _qr(x, 1, 6, 11, 12, t)
-            _qr(x, 2, 7, 8, 13, t)
-            _qr(x, 3, 4, 9, 14, t)
+        if r % 2 == 0 and round_masks is not None:
+            m = round_masks[r >> 1]
+            x[0] ^= m[0]
+            x[1] ^= m[1]
+            x[2] ^= m[2]
+            x[3] ^= m[3]
+        for a, b, c, d in DIAGONAL_GROUPS if r % 2 else COLUMN_GROUPS:
+            _qr(x, a, b, c, d, t)
     return x
 
 

@@ -137,6 +137,11 @@ class TestDiffProbability:
         with pytest.raises(ParamError):
             empirical_diff_probability(DiffSpec((1,) + (0,) * 15, (0,) * 16, 6), 10_000)
 
+    def test_material_round_count_must_match(self):
+        mat = derive_session(DeterministicProvider(b"mismatch"), 4)
+        with pytest.raises(MaskCountMismatch):
+            empirical_diff_probability(DiffSpec(DIN_2R, DOUT_2R, 2), 10_000, material=mat)
+
     def test_witness_construction(self):
         # the target difference occurs with probability well above
         # 1/samples, so the estimate must count at least one witness pair

@@ -43,9 +43,9 @@ def test_plan_row_counts():
     nist = build_plan("nist")
     gmt = build_plan("gmt")
     both = build_plan("both")
-    assert sum(len(e.row_ids) for e in nist) == 9
-    assert sum(len(e.row_ids) for e in gmt) == 18
-    assert sum(len(e.row_ids) for e in both) == 27
+    assert len(nist) == 9
+    assert len(gmt) == 18
+    assert len(both) == 27
     with pytest.raises(ParamError):
         build_plan("nonsense")
 
@@ -111,7 +111,7 @@ def test_parallel_jobs_agree_with_serial():
 
 
 def public_results(bits, plan, alpha=0.01):
-    """What each plan entry gives when its public test runs on a plain array."""
+    """What each plan row gives when its public test runs on a plain array."""
     out = []
     for entry in plan:
         fn = getattr(stattests, entry.func)
@@ -120,7 +120,7 @@ def public_results(bits, plan, alpha=0.01):
         except (SequenceTooShort, ParamTooLarge) as exc:
             out.append(str(exc))
             continue
-        out.append([r.p_value for r in (res if isinstance(res, tuple) else (res,))])
+        out.append((res if isinstance(res, tuple) else (res,))[entry.part].p_value)
     return out
 
 
@@ -140,12 +140,42 @@ def test_shared_memo_equals_public_tests(monkeypatch, nbits, widest):
 
 def test_megabit_p_values_pinned():
     # every P-value of the NIST + GM/T plan, exactly as the per-m window
-    # loop computed them before the shared window pass
+    # loop computed them before the shared window pass; hashed in the shape
+    # of one list per test call, serial P1 and P2 in one list
     digest = hashlib.shake_256(b"qrechacha battery pin").digest(125_000)
     bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))
-    got = battery._run_sequence(bits, build_plan("both"), 0.01)
+    plan = build_plan("both")
+    got = []
+    for entry, p in zip(plan, battery._run_sequence(bits, plan, 0.01)):
+        if entry.part:
+            got[-1].append(p)
+        else:
+            got.append([p])
     assert hashlib.sha256(repr(got).encode()).hexdigest() == (
         "7b02b52d602cccacc2c94881c808d48f9a2cda1576c2e3951be21c430fc53455")
+
+
+def test_both_suites_equal_each_suite_alone():
+    # rows the two suites share read one run of their call; every value
+    # must equal what each suite computes on its own
+    seqs = make_sequences(12, 20_001, np.random.default_rng(8))
+    both = battery_run(seqs, suite="both", provider=PROVIDER)
+    nist = battery_run(seqs, suite="nist", provider=PROVIDER)
+    gmt = battery_run(seqs, suite="gmt", provider=PROVIDER)
+    assert both.lines == nist.lines + gmt.lines
+
+
+@pytest.mark.parametrize("suite, calls", [("nist", 8), ("gmt", 18), ("both", 21)])
+def test_each_distinct_call_runs_once_per_sequence(monkeypatch, suite, calls):
+    made = []
+    for name in {entry.func for entry in build_plan("both")}:
+        fn = getattr(stattests, name)
+        monkeypatch.setattr(stattests, name,
+                            lambda *a, _fn=fn, _name=name, **kw: made.append(_name) or _fn(*a, **kw))
+    bits = np.random.default_rng(9).integers(0, 2, 1_000_000, dtype=np.uint8)
+    report = battery_run([bits], suite=suite, provider=PROVIDER)
+    assert all(line.applicable for line in report.lines)
+    assert len(made) == calls
 
 
 def test_report_emissions():

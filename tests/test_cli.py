@@ -210,3 +210,10 @@ class TestMalformedFlagValues:
                        "--out", material) == 0
         assert run_cli("avalanche", "--rounds", 8, "--trials", 1000,
                        "--material", material) == 2
+
+    def test_diffprob_material_for_other_rounds(self, tmp_path):
+        material = tmp_path / "m4.bin"
+        assert run_cli("material", "derive", "--seed", SEED, "--rounds", 4,
+                       "--out", material) == 0
+        assert run_cli("diffprob", "--rounds", 2, "--samples", 10_000, "--input-diff", DIFF,
+                       "--output-diff", DIFF, "--material", material) == 2
