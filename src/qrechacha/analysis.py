@@ -36,6 +36,14 @@ def check_injection_constraint(mask_a, mask_b, state_a, state_b) -> bool:
     )
 
 
+def _generator(seed) -> np.random.Generator:
+    """np.random.default_rng(seed), reporting a seed numpy rejects as ParamError."""
+    try:
+        return np.random.default_rng(seed)
+    except (ValueError, TypeError) as exc:
+        raise ParamError(f"bad rng seed {seed!r}: {exc}") from None
+
+
 @dataclass
 class AvalancheReport:
     """Flip statistics for one flipped input bit over random keys/nonces.
@@ -65,6 +73,12 @@ class AvalancheReport:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
+    def to_text(self) -> str:
+        return (f"avalanche rounds={self.rounds} trials={self.trials} "
+                f"flip={self.flip_target[0]}:{self.flip_target[1]}\n"
+                f"aggregate flip fraction: {self.aggregate:.6f} "
+                f"(ideal 0.5 +/- {self.half_width:.6f})")
+
 
 def avalanche_metric(
     params: CipherParams,
@@ -92,7 +106,7 @@ def avalanche_metric(
         raise ParamError(f"{segment} bit index must be in [0, {nbits})")
     row = base_row + bit // 32
     flip = np.uint32(1 << (bit % 32))
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     column, masks = vector.prepare(params, material)
 
     flips = np.zeros((16, 32), dtype=np.int64)
@@ -161,6 +175,11 @@ class DiffProbEstimate:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
+    def to_text(self) -> str:
+        return (f"diffprob rounds={self.rounds} mode={self.qrn_mode} samples={self.samples}\n"
+                f"estimate: {self.probability:.3e} ({self.hits} hits, "
+                f"+/- {self.half_width:.3e})")
+
 
 def _admissible_mask_pairs(rng, dx, batch):
     """Draw per-sample mask pairs for one injection round, redrawing any
@@ -202,7 +221,7 @@ def empirical_diff_probability(
         raise MaskCountMismatch(
             f"material covers {material.rounds} rounds but the spec uses {spec.rounds}"
         )
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     in_diff = np.array(spec.input_diff, dtype=np.uint32)[:, None]
     out_diff = np.array(spec.output_diff, dtype=np.uint32)[:, None]
     fixed_masks = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -72,10 +73,12 @@ def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[
         raise ParamError(f"benchmark needs >= {MIN_REPS} repetitions, got {reps}")
     results = []
     for size in sizes_mb:
-        nbytes = int(size * 1_000_000)
-        if nbytes < 1:
-            raise ParamError(f"payload size must be positive, got {size} MB")
-        payload = os.urandom(nbytes)
+        if not 1 <= size * 1_000_000 < math.inf:
+            raise ParamError(f"payload size must be finite and at least 1 byte, got {size} MB")
+        try:
+            payload = os.urandom(int(size * 1_000_000))
+        except (OverflowError, MemoryError):
+            raise ParamError(f"cannot allocate a payload of {size} MB") from None
         runs = []
         for cipher, rounds in configs:
             if cipher not in CIPHERS:
@@ -86,7 +89,7 @@ def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[
             nonce = os.urandom(12)
             params = [CipherParams.from_bytes(os.urandom(32), nonce, 0, rounds)
                       for _ in range(reps + 1)]
-            runs.append((BenchResult(cipher, rounds, nbytes, reps), material, params))
+            runs.append((BenchResult(cipher, rounds, len(payload), reps), material, params))
         for result, material, params in runs:
             xor_stream(params[0], material, payload)  # warm-up, untimed
         for rep in range(1, reps + 1):
@@ -105,48 +108,28 @@ def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[
 
 @dataclass
 class ComparisonReport:
-    """Mean-time table (rows: payload size, columns: cipher/rounds) plus the
-    full ratio matrix between configurations."""
+    """Mean-time table (payload size -> config name -> result, as .table and
+    .names in first-seen order) plus the full ratio matrix between configs."""
 
     results: list[BenchResult]
 
     def __post_init__(self):
         if len(self.results) < 2:
             raise InsufficientResults("comparison needs at least two results")
-
-    def _columns(self) -> list[tuple[str, int]]:
-        cols = []
+        self.table, self.names = {}, []
         for r in self.results:
-            key = (r.cipher, r.rounds)
-            if key not in cols:
-                cols.append(key)
-        return cols
-
-    def _sizes(self) -> list[int]:
-        sizes = []
-        for r in self.results:
-            if r.payload_bytes not in sizes:
-                sizes.append(r.payload_bytes)
-        return sizes
-
-    def _cell(self, size: int, col: tuple[str, int]) -> BenchResult | None:
-        for r in self.results:
-            if r.payload_bytes == size and (r.cipher, r.rounds) == col:
-                return r
-        return None
+            name = f"{r.cipher}{r.rounds}"
+            if name not in self.names:
+                self.names.append(name)
+            self.table.setdefault(r.payload_bytes, {}).setdefault(name, r)
 
     def ratio_matrix(self) -> dict[str, dict[str, float]]:
         """Mean-over-sizes time of each config divided by each other config."""
-        cols = self._columns()
         means = {}
-        for col in cols:
-            cells = [self._cell(s, col) for s in self._sizes()]
-            vals = [c.mean_seconds for c in cells if c is not None]
-            means[col] = sum(vals) / len(vals)
-        names = {col: f"{col[0]}{col[1]}" for col in cols}
-        return {
-            names[a]: {names[b]: means[a] / means[b] for b in cols} for a in cols
-        }
+        for name in self.names:
+            vals = [row[name].mean_seconds for row in self.table.values() if name in row]
+            means[name] = sum(vals) / len(vals)
+        return {a: {b: means[a] / means[b] for b in self.names} for a in self.names}
 
     def to_dict(self) -> dict:
         return {
@@ -171,22 +154,19 @@ class ComparisonReport:
         return "\n".join(rows) + "\n"
 
     def to_text(self) -> str:
-        cols = self._columns()
-        names = [f"{c}{r}" for c, r in cols]
-        head = f"{'Payload':>12}" + "".join(f"{n:>16}" for n in names)
+        head = f"{'Payload':>12}" + "".join(f"{n:>16}" for n in self.names)
         out = ["Encryption time, seconds (mean of reps; warm-up excluded)", head]
-        for size in self._sizes():
+        for size, cells in self.table.items():
             row = f"{size / 1e6:>9.0f} MB"
-            for col in cols:
-                cell = self._cell(size, col)
-                row += f"{cell.mean_seconds:>16.7f}" if cell else f"{'-':>16}"
+            for name in self.names:
+                row += f"{cells[name].mean_seconds:>16.7f}" if name in cells else f"{'-':>16}"
             out.append(row)
         out.append("")
         out.append("time ratios (row / column, mean over sizes):")
         ratios = self.ratio_matrix()
-        out.append(f"{'':>12}" + "".join(f"{n:>16}" for n in names))
-        for a in names:
-            out.append(f"{a:>12}" + "".join(f"{ratios[a][b]:>16.3f}" for b in names))
+        out.append(f"{'':>12}" + "".join(f"{n:>16}" for n in self.names))
+        for a in self.names:
+            out.append(f"{a:>12}" + "".join(f"{ratios[a][b]:>16.3f}" for b in self.names))
         return "\n".join(out)
 
 

@@ -4,6 +4,8 @@ Subcommands: encrypt, decrypt, keystream, qrn fetch|init|status,
 material derive, test, avalanche, diffprob, bench.
 
 Secrets travel through files or environment variables, never flag values.
+Reports print as text; --report writes .json/.txt by extension (.csv too
+for test and bench).
 Exit codes: 0 success, 2 usage, 3 I/O or transport, 4 pool exhausted,
 5 verification/test failure.
 """
@@ -51,36 +53,28 @@ def _parse(convert, text: str, flag: str):
         raise ParamError(f"bad {flag} value {text!r}") from None
 
 
-def _load_params(args, default_counter=0) -> CipherParams:
-    key = _read(args.key)
-    nonce = _read(args.nonce)
-    counter = getattr(args, "counter", default_counter)
-    return CipherParams.from_bytes(key, nonce, counter, args.rounds)
-
-
 def _load_material(args):
-    if getattr(args, "material", None) is None:
+    if args.material is None:
         return None
     return qrn.session_parse(_read(args.material))
 
 
 def _emit_report(args, obj) -> None:
-    """Print the text form; optionally write json/csv per --report extension."""
-    print(obj.to_text() if hasattr(obj, "to_text") else obj.to_json())
-    path = getattr(args, "report", None)
-    if path is None:
+    """Print the text form; --report writes csv (tabular reports), text or json."""
+    print(obj.to_text())
+    if args.report is None:
         return
-    suffix = Path(path).suffix.lower()
+    suffix = Path(args.report).suffix.lower()
     if suffix == ".csv" and hasattr(obj, "to_csv"):
-        _write(path, obj.to_csv().encode())
-    elif suffix in (".txt", ".text") and hasattr(obj, "to_text"):
-        _write(path, (obj.to_text() + "\n").encode())
+        _write(args.report, obj.to_csv().encode())
+    elif suffix in (".txt", ".text"):
+        _write(args.report, (obj.to_text() + "\n").encode())
     else:
-        _write(path, (obj.to_json() + "\n").encode())
+        _write(args.report, (obj.to_json() + "\n").encode())
 
 
 def cmd_crypt(args) -> int:
-    params = _load_params(args)
+    params = CipherParams.from_bytes(_read(args.key), _read(args.nonce), args.counter, args.rounds)
     material = _load_material(args)
     _write(args.outfile, xor_stream(params, material, _read(args.infile)))
     return 0
@@ -92,8 +86,8 @@ def cmd_keystream(args) -> int:
     material = _load_material(args)
     source = args.material if args.material else "seed-derived"
     manifest = generate.write_corpus(
-        spec, args.out_dir, material,
-        material_source=str(source), is_quantum=args.quantum, debug_keys=args.debug_keys,
+        spec, args.out_dir, material, material_source=str(source),
+        is_quantum=args.quantum if args.material else False, debug_keys=args.debug_keys,
     )
     print(f"wrote {spec.count} sequence(s) of {spec.bits} bits under {args.out_dir}")
     print(f"manifest: {manifest}")
@@ -187,23 +181,15 @@ def cmd_test(args) -> int:
 
 def cmd_avalanche(args) -> int:
     params = CipherParams(key=(0,) * 8, nonce=(0,) * 3, counter=args.counter, rounds=args.rounds)
-    if args.material:
-        material = qrn.session_parse(_read(args.material))
-    elif args.random_material:
+    material = _load_material(args)
+    if material is None and args.random_material:
         material = qrn.derive_session(qrn.DeterministicProvider(os.urandom(32)), args.rounds)
-    else:
-        material = None
     segment, _, bit = args.flip.partition(":")
     report = analysis.avalanche_metric(
         params, material, (segment, _parse(int, bit or "0", "--flip")), args.trials,
         rng=args.rng_seed,
     )
-    print(f"avalanche rounds={report.rounds} trials={report.trials} "
-          f"flip={report.flip_target[0]}:{report.flip_target[1]}")
-    print(f"aggregate flip fraction: {report.aggregate:.6f} "
-          f"(ideal 0.5 +/- {report.half_width:.6f})")
-    if args.report:
-        _write(args.report, (report.to_json() + "\n").encode())
+    _emit_report(args, report)
     return 0
 
 
@@ -224,10 +210,7 @@ def cmd_diffprob(args) -> int:
     est = analysis.empirical_diff_probability(
         spec, args.samples, qrn_mode=args.mode, material=material, rng=args.rng_seed
     )
-    print(f"diffprob rounds={est.rounds} mode={est.qrn_mode} samples={est.samples}")
-    print(f"estimate: {est.probability:.3e} ({est.hits} hits, +/- {est.half_width:.3e})")
-    if args.report:
-        _write(args.report, (est.to_json() + "\n").encode())
+    _emit_report(args, est)
     return 0
 
 
@@ -338,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-material", action="store_true",
                    help="derive throwaway random material")
     p.add_argument("--rng-seed", type=int, default=None)
-    p.add_argument("--report", help="write JSON report here")
+    p.add_argument("--report", help="write report here (.json/.txt by extension)")
     p.set_defaults(func=cmd_avalanche)
 
     p = sub.add_parser("diffprob", help="estimate a differential probability empirically")
@@ -349,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("fixed", "resampled"), default="fixed")
     p.add_argument("--material", help="session material for fixed mode")
     p.add_argument("--rng-seed", type=int, default=None)
-    p.add_argument("--report", help="write JSON report here")
+    p.add_argument("--report", help="write report here (.json/.txt by extension)")
     p.set_defaults(func=cmd_diffprob)
 
     p = sub.add_parser("bench", help="throughput benchmark")

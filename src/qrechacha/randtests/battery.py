@@ -119,13 +119,17 @@ def proportion_interval(alpha: float, s: int) -> tuple[float, float]:
     return max(0.0, 1.0 - alpha - half), min(1.0, 1.0 - alpha + half)
 
 
+def _histogram(p_values) -> np.ndarray:
+    """Counts of P-values in UNIFORMITY_BINS equal bins of [0, 1]."""
+    p_values = np.asarray(p_values, dtype=np.float64)
+    bins = np.minimum((p_values * UNIFORMITY_BINS).astype(np.int64), UNIFORMITY_BINS - 1)
+    return np.bincount(bins, minlength=UNIFORMITY_BINS)
+
+
 def uniformity_p_value(p_values) -> float:
     """10-bin chi-square uniformity over per-sequence P-values."""
-    p_values = np.asarray(p_values, dtype=np.float64)
-    s = p_values.size
-    bins = np.minimum((p_values * UNIFORMITY_BINS).astype(np.int64), UNIFORMITY_BINS - 1)
-    freq = np.bincount(bins, minlength=UNIFORMITY_BINS)
-    expected = s / UNIFORMITY_BINS
+    freq = _histogram(p_values)
+    expected = freq.sum() / UNIFORMITY_BINS
     chi = float(((freq - expected) ** 2 / expected).sum())
     return igamc((UNIFORMITY_BINS - 1) / 2.0, chi / 2.0)
 
@@ -284,8 +288,12 @@ def battery_run(
 
     Sequences must all share one length; 10 or more are needed before the
     uniformity level means anything (fewer still compute, uniformity_p is
-    reported as None).
+    reported as None).  Needs 0 < alpha < 1 and 0 <= alpha_uniformity <= 1.
     """
+    if not 0 < alpha < 1:
+        raise ParamError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0 <= alpha_uniformity <= 1:
+        raise ParamError(f"alpha_uniformity must be in [0, 1], got {alpha_uniformity}")
     plan = build_plan(suite)
     identity, quantum = _provider_info(provider)
 
@@ -330,11 +338,9 @@ def battery_run(
             continue
         rows = np.asarray(column, dtype=np.float64)
         passes = int((rows >= alpha).sum())
-        bins = np.minimum((rows * UNIFORMITY_BINS).astype(np.int64), UNIFORMITY_BINS - 1)
-        hist = np.bincount(bins, minlength=UNIFORMITY_BINS).tolist()
         uni = uniformity_p_value(rows) if count >= 10 else None
         lines.append(BatteryLine(entry.row_id, entry.label, passes, count, passes / count,
-                                 interval, uni, hist))
+                                 interval, uni, _histogram(rows).tolist()))
     return BatteryReport(
         suite=suite,
         alpha=alpha,

@@ -37,7 +37,7 @@ def test_validation():
         run_sweep([("chacha", 8)], sizes_mb=(0.001,), reps=4)
     with pytest.raises(ParamError):
         run_sweep([("chacha", 8)], sizes_mb=(1,), reps=2)
-    for size in (0, -1):
+    for size in (0, -1, float("nan"), float("inf"), 1e30):
         with pytest.raises(ParamError):
             run_sweep([("chacha", 8)], sizes_mb=(size,))
 

@@ -86,6 +86,14 @@ class TestKeystream:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["keys"]) == 2
 
+    def test_quantum_flag_needs_material(self, tmp_path):
+        out = tmp_path / "ks"
+        assert run_cli("keystream", "--bits", 256, "--seed", SEED, "--quantum",
+                       "--out-dir", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["material"]["source"] == "seed-derived"
+        assert manifest["material"]["is_quantum"] is False
+
 
 class TestQrnCommands:
     def test_init_and_status(self, tmp_path, capsys):
@@ -169,6 +177,18 @@ class TestAnalysisCommands:
         assert doc["kind"] == "diffprob"
         assert doc["probability"] > 0
 
+    @pytest.mark.parametrize("argv", [
+        ("avalanche", "--trials", 1000, "--rng-seed", 3),
+        ("diffprob", "--rounds", 2, "--samples", 10_000, "--input-diff", "80000000" + " 0" * 15,
+         "--output-diff", "80000000" + " 0" * 15, "--rng-seed", 1),
+    ])
+    def test_txt_report_is_the_printed_text(self, tmp_path, capsys, argv):
+        report = tmp_path / "x.txt"
+        assert run_cli(*argv, "--report", report) == 0
+        printed = capsys.readouterr().out
+        assert report.read_text() == printed
+        assert printed.startswith(argv[0] + " rounds=") and len(printed.splitlines()) == 2
+
     def test_diffprob_bad_diff_is_usage_error(self):
         assert run_cli("diffprob", "--rounds", 2, "--input-diff", "1 2 3",
                        "--output-diff", "0 " * 16) == 2
@@ -200,6 +220,12 @@ class TestMalformedFlagValues:
         ("avalanche", "--trials", 1000, "--flip", "key:x"),
         ("bench", "--ciphers", "chacha:x", "--sizes", "0.001"),
         ("bench", "--sizes", "a"),
+        ("bench", "--sizes", "nan"),
+        ("bench", "--sizes", "inf"),
+        ("test", "--sequences", 2, "--bits", 1000, "--seed", "00", "--alpha", 2),
+        ("test", "--sequences", 2, "--bits", 1000, "--seed", "00", "--alpha", -1),
+        ("avalanche", "--trials", 1000, "--rng-seed", -1),
+        ("diffprob", "--rounds", 2, "--input-diff", DIFF, "--output-diff", DIFF, "--rng-seed", -1),
     ])
     def test_exit_code_2(self, tmp_path, argv):
         assert run_cli(*(str(a).format(tmp=tmp_path) for a in argv)) == 2
