@@ -3,7 +3,8 @@
 Times xor_stream over in-memory payloads with a fresh random key per
 repetition.  Key generation and QRN material derivation happen before the
 clock starts, matching a deployment where masks are pre-stored; one
-untimed warm-up repetition absorbs cold-start noise, and the garbage
+untimed warm-up repetition per size and config, all run before the first
+timed one, absorbs cold-start noise and page faults, and the garbage
 collector is off inside each timed call.  Absolute seconds are
 machine-specific; comparisons should be read as ratios.
 """
@@ -14,9 +15,13 @@ import gc
 import json
 import math
 import os
+import platform
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import vector
 from .cipher import CipherParams, xor_stream
 from .errors import InsufficientResults, ParamError
 from .qrn import DeterministicProvider, derive_session
@@ -59,6 +64,13 @@ class BenchResult:
         }
 
 
+def _random_payload(nbytes: int) -> bytes:
+    try:
+        return os.urandom(nbytes)
+    except (OverflowError, MemoryError):
+        raise ParamError(f"cannot allocate a payload of {nbytes / 1e6:g} MB") from None
+
+
 def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[BenchResult]:
     """Bench every (cipher, rounds) config over every payload size.
 
@@ -68,30 +80,42 @@ def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[
     for a given size is shared by all configs, and repetitions are
     interleaved round-robin across configs so background load spikes hit
     every configuration alike.
+
+    Every warm-up runs before any timed call, largest size first.  glibc
+    serves a large block from freshly mapped pages (one fault per 4 KiB
+    page, about 3 us each on the machine this was tuned on) until freeing a
+    block that large raises its mmap and trim thresholds.  Timed in size
+    order instead, a 4 MB size paid about 50% in page faults that the 8 MB
+    size after it did not: the 8 MB / 4 MB time ratio of a fresh process's
+    first sweep read 1.26-1.68, against 1.91-2.21 in this order.
     """
     if reps < MIN_REPS:
         raise ParamError(f"benchmark needs >= {MIN_REPS} repetitions, got {reps}")
-    results = []
+    for cipher, _ in configs:
+        if cipher not in CIPHERS:
+            raise ParamError(f"cipher must be one of {CIPHERS}, got {cipher!r}")
+    sweep = []
     for size in sizes_mb:
         if not 1 <= size * 1_000_000 < math.inf:
             raise ParamError(f"payload size must be finite and at least 1 byte, got {size} MB")
-        try:
-            payload = os.urandom(int(size * 1_000_000))
-        except (OverflowError, MemoryError):
-            raise ParamError(f"cannot allocate a payload of {size} MB") from None
+        nbytes = int(size * 1_000_000)
         runs = []
         for cipher, rounds in configs:
-            if cipher not in CIPHERS:
-                raise ParamError(f"cipher must be one of {CIPHERS}, got {cipher!r}")
             material = None
             if cipher == "qre-chacha":
                 material = derive_session(DeterministicProvider(os.urandom(32)), rounds)
             nonce = os.urandom(12)
             params = [CipherParams.from_bytes(os.urandom(32), nonce, 0, rounds)
                       for _ in range(reps + 1)]
-            runs.append((BenchResult(cipher, rounds, len(payload), reps), material, params))
+            runs.append((BenchResult(cipher, rounds, nbytes, reps), material, params))
+        sweep.append((nbytes, runs))
+    for nbytes, runs in sorted(sweep, key=lambda item: -item[0]):
+        payload = _random_payload(nbytes)
         for result, material, params in runs:
             xor_stream(params[0], material, payload)  # warm-up, untimed
+    results = []
+    for nbytes, runs in sweep:
+        payload = _random_payload(nbytes)
         for rep in range(1, reps + 1):
             for result, material, params in runs:
                 gc.disable()
@@ -106,12 +130,27 @@ def run_sweep(configs, sizes_mb=DEFAULT_SIZES_MB, reps: int = MIN_REPS) -> list[
     return results
 
 
+def environment() -> dict:
+    """What produced a report: package, numpy and Python versions and the
+    keystream chunk width in blocks."""
+    from . import __version__
+
+    return {
+        "qrechacha": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "chunk_blocks": vector.CHUNK_BLOCKS,
+    }
+
+
 @dataclass
 class ComparisonReport:
     """Mean-time table (payload size -> config name -> result, as .table and
-    .names in first-seen order) plus the full ratio matrix between configs."""
+    .names in first-seen order) plus the full ratio matrix between configs,
+    stamped with the environment that produced it."""
 
     results: list[BenchResult]
+    env: dict = field(default_factory=environment, init=False)
 
     def __post_init__(self):
         if len(self.results) < 2:
@@ -134,6 +173,7 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return {
             "kind": "bench",
+            "env": dict(self.env),
             "clock": "perf_counter",
             "clock_resolution_s": time.get_clock_info("perf_counter").resolution,
             "warmup_reps": 1,
@@ -155,7 +195,8 @@ class ComparisonReport:
 
     def to_text(self) -> str:
         head = f"{'Payload':>12}" + "".join(f"{n:>16}" for n in self.names)
-        out = ["Encryption time, seconds (mean of reps; warm-up excluded)", head]
+        env = "  ".join(f"{k} {v}" for k, v in self.env.items())
+        out = [f"env: {env}", "Encryption time, seconds (mean of reps; warm-up excluded)", head]
         for size, cells in self.table.items():
             row = f"{size / 1e6:>9.0f} MB"
             for name in self.names:

@@ -249,9 +249,12 @@ def xor_stream(params: CipherParams, material: QrnSessionMaterial | None, data: 
     Encryption and decryption are the same operation.  Counters increment
     once per 64-byte block and must not wrap.  Runs on the batch engine in
     `vector`, whose one keystream generator validates the material and the
-    counter span and XORs chunk by chunk.  Returns a bytearray (written
-    exactly once, which keeps bulk encryption at memory speed); treat it as
-    a read-only byte sequence or wrap in bytes() if immutability matters.
+    counter span and XORs chunk by chunk through an L2-sized state, so the
+    round loop, not memory traffic, bounds bulk throughput.  Returns a
+    bytearray (written exactly once); treat it as a read-only byte
+    sequence or wrap in bytes() if immutability matters.
+    Inputs larger than memory are XORed in pieces, each at the counter of
+    its first block (see `cli.cmd_crypt`).
     """
     from . import vector
 

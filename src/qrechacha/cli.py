@@ -13,13 +13,24 @@ Exit codes: 0 success, 2 usage, 3 I/O or transport, 4 pool exhausted,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
+import secrets
+import stat
 import sys
 from pathlib import Path
 
-from . import analysis, bench, generate, qrn
-from .cipher import CipherParams, ROUND_PRESETS, xor_stream
+from . import analysis, bench, generate, qrn, vector
+from .cipher import (
+    BLOCK_BYTES,
+    CipherParams,
+    ROUND_PRESETS,
+    blocks_needed,
+    check_counter_span,
+    xor_stream,
+)
 from .errors import IoFailure, ParamError, QreChachaError, VerificationFailure
 from .randtests.battery import SUITES, battery_run
 from .randtests.bits import bits_from_bytes
@@ -73,10 +84,69 @@ def _emit_report(args, obj) -> None:
         _write(args.report, (obj.to_json() + "\n").encode())
 
 
+def _open_input(path):
+    if str(path) == "-":
+        return contextlib.nullcontext(sys.stdin.buffer)
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _regular_size(fh):
+    """Byte size of a regular file behind fh, else None (pipes, terminals)."""
+    try:
+        st = os.fstat(fh.fileno())
+    except (OSError, ValueError):
+        return None
+    return st.st_size if stat.S_ISREG(st.st_mode) else None
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a binary handle whose bytes become path only if the block
+    completes: they go to a sibling temporary file that os.replace renames
+    over path, so infile == outfile works and a failure leaves no partial
+    output.  '-' yields stdout, written as it goes."""
+    if str(path) == "-":
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+        return
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_crypt(args) -> int:
+    """Stream the input through xor_stream in pieces of CHUNK_BLOCKS blocks,
+    each at the counter of its first block, so memory stays O(chunk)."""
     params = CipherParams.from_bytes(_read(args.key), _read(args.nonce), args.counter, args.rounds)
     material = _load_material(args)
-    _write(args.outfile, xor_stream(params, material, _read(args.infile)))
+    piece = vector.CHUNK_BLOCKS * BLOCK_BYTES
+    with _open_input(args.infile) as src:
+        size = _regular_size(src)
+        if size is not None:
+            check_counter_span(params.counter, blocks_needed(size))
+        with _replacing(args.outfile) as dst:
+            done = 0  # blocks written so far; every piece but the last is whole blocks
+            # a buffered read returns `piece` bytes unless the input ends
+            while data := src.read(piece):
+                check_counter_span(params.counter, done + blocks_needed(len(data)))
+                at = dataclasses.replace(params, counter=params.counter + done)
+                dst.write(xor_stream(at, material, data))
+                done += len(data) // BLOCK_BYTES
     return 0
 
 
@@ -111,11 +181,9 @@ def cmd_qrn_init(args) -> int:
     if args.seed:
         seed = _parse(bytes.fromhex, args.seed, "--seed")
         data = qrn.DeterministicProvider(seed).take(args.nbytes)
-        quantum = False
     else:
-        data = os.urandom(args.nbytes)
-        quantum = False  # OS entropy, not a QRNG
-    pool = qrn.QrnPool.create(args.out, data, is_quantum=quantum)
+        data = os.urandom(args.nbytes)  # OS entropy, not a QRNG
+    pool = qrn.QrnPool.create(args.out, data, is_quantum=False)
     print(f"pool {pool.path}: {pool.total_bytes} bytes (non-quantum test pool)")
     return 0
 
@@ -126,6 +194,7 @@ def cmd_qrn_status(args) -> int:
     print(f"total:     {pool.total_bytes} bytes")
     print(f"cursor:    {pool.cursor_bytes} bytes consumed")
     print(f"remaining: {pool.remaining} bytes")
+    print(f"quantum:   {'yes' if pool.is_quantum else 'no'}")
     return 0
 
 
@@ -136,7 +205,8 @@ def cmd_material_derive(args) -> int:
         source = qrn.DeterministicProvider(_parse(bytes.fromhex, args.seed, "--seed"))
     material = qrn.derive_session(source, args.rounds)
     qrn.write_material(args.out, material)
-    print(f"derived material for {args.rounds} rounds from {source.identity} -> {args.out}")
+    kind = "quantum" if source.is_quantum else "non-quantum"
+    print(f"derived material for {args.rounds} rounds from {source.identity} ({kind}) -> {args.out}")
     return 0
 
 
@@ -248,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_crypt(sub, "encrypt", "encrypt a file (stream XOR)")
+    _add_crypt(sub, "encrypt", "encrypt a file (stream XOR), streamed in "
+               "cache-sized pieces; the output replaces --out only on success")
     _add_crypt(sub, "decrypt", "decrypt a file (same operation as encrypt)")
 
     p = sub.add_parser("keystream", help="emit keystream sequences plus a replay manifest")
@@ -290,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--pool", help="entropy pool file")
     src.add_argument("--seed", help="hex seed (deterministic, non-quantum)")
     d.add_argument("--non-quantum", action="store_true",
-                   help="flag the pool contents as non-quantum")
+                   help="treat a quantum pool's bytes as non-quantum (a pool's "
+                        "header flag can be lowered, never raised)")
     d.add_argument("--rounds", type=int, required=True)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_material_derive)

@@ -11,10 +11,13 @@ carry the flag unchanged, so deterministic sources are always flagged False.
 
 Pool file layout (little-endian):
   bytes 0-3   magic "QRNP"
-  bytes 4-5   version (currently 1)
+  bytes 4-5   version (currently 2)
   bytes 6-13  total payload bytes
   bytes 14-21 cursor (consumed bytes)
-  bytes 22-   payload
+  bytes 22-23 flags; bit 0 (FLAG_QUANTUM) marks a quantum-sourced payload
+  bytes 24-   payload
+Version 1 files lack the flags field (payload from byte 22).  They never
+recorded their source, so they open as non-quantum.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from .errors import (
 )
 
 POOL_MAGIC = b"QRNP"
-POOL_VERSION = 1
-_POOL_HEADER = struct.Struct("<4sHQQ")
+POOL_VERSION = 2
+FLAG_QUANTUM = 1
+_POOL_HEADER = struct.Struct("<4sHQQ")  # the part common to versions 1 and 2
+_FLAGS = struct.Struct("<H")  # version 2 only, right after the common part
+_PAYLOAD_OFFSET = {1: _POOL_HEADER.size, 2: _POOL_HEADER.size + _FLAGS.size}
 _CURSOR_OFFSET = 14
 
 MATERIAL_VERSION = 1
@@ -70,32 +76,41 @@ class QrnPool:
     """
 
     def __init__(self, path, is_quantum: bool = True):
+        """Open an existing pool.  The quantum flag comes from the header;
+        is_quantum=False marks a quantum pool's bytes non-quantum for this
+        handle, and True never raises a header that says non-quantum."""
         self.path = Path(path)
-        self.is_quantum = bool(is_quantum)
+        self._allow_quantum = bool(is_quantum)
         self._read_header()
 
     @property
     def identity(self) -> str:
         return f"pool:{self.path.name}"
 
+    @property
+    def is_quantum(self) -> bool:
+        return self._header_quantum and self._allow_quantum
+
     @classmethod
-    def create(cls, path, data: bytes, is_quantum: bool = True) -> "QrnPool":
+    def create(cls, path, data: bytes, is_quantum: bool = False) -> "QrnPool":
+        """Write a new pool holding data, recording is_quantum in its header."""
         if not data:
             raise ParamError("pool payload must be nonempty")
         try:
             with open(path, "wb") as fh:
                 fh.write(_POOL_HEADER.pack(POOL_MAGIC, POOL_VERSION, len(data), 0))
+                fh.write(_FLAGS.pack(FLAG_QUANTUM if is_quantum else 0))
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError as exc:
             raise IoFailure(f"cannot write pool {path}: {exc}") from exc
-        return cls(path, is_quantum=is_quantum)
+        return cls(path)
 
     def _read_header(self) -> None:
         try:
             with open(self.path, "rb") as fh:
-                head = fh.read(_POOL_HEADER.size)
+                head = fh.read(_PAYLOAD_OFFSET[POOL_VERSION])
         except OSError as exc:
             raise IoFailure(f"cannot read pool {self.path}: {exc}") from exc
         self._parse_header(head)
@@ -103,15 +118,22 @@ class QrnPool:
     def _parse_header(self, head: bytes) -> None:
         if len(head) < _POOL_HEADER.size:
             raise IoFailure(f"{self.path} is not a pool file (truncated header)")
-        magic, version, total, cursor = _POOL_HEADER.unpack(head)
+        magic, version, total, cursor = _POOL_HEADER.unpack_from(head)
         if magic != POOL_MAGIC:
             raise IoFailure(f"{self.path} is not a pool file (bad magic {magic!r})")
-        if version != POOL_VERSION:
+        if version not in _PAYLOAD_OFFSET:
             raise IoFailure(f"unsupported pool version {version}")
+        flags = 0
+        if version >= 2:
+            if len(head) < _PAYLOAD_OFFSET[version]:
+                raise IoFailure(f"{self.path} is not a pool file (truncated header)")
+            (flags,) = _FLAGS.unpack_from(head, _POOL_HEADER.size)
         if cursor > total:
             raise IoFailure(f"corrupt pool {self.path}: cursor {cursor} past total {total}")
         self.total_bytes = total
         self.cursor_bytes = cursor
+        self._header_quantum = bool(flags & FLAG_QUANTUM)
+        self._payload_offset = _PAYLOAD_OFFSET[version]
 
     @property
     def remaining(self) -> int:
@@ -125,7 +147,7 @@ class QrnPool:
             with open(self.path, "r+b") as fh:
                 # released when fh closes, after the fsync below
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                self._parse_header(fh.read(_POOL_HEADER.size))
+                self._parse_header(fh.read(_PAYLOAD_OFFSET[POOL_VERSION]))
                 if nbytes == 0:
                     return b""
                 if self.cursor_bytes + nbytes > self.total_bytes:
@@ -133,7 +155,7 @@ class QrnPool:
                         f"pool {self.path} has {self.remaining} bytes left, need {nbytes}"
                     )
                 new_cursor = self.cursor_bytes + nbytes
-                fh.seek(_POOL_HEADER.size + self.cursor_bytes)
+                fh.seek(self._payload_offset + self.cursor_bytes)
                 data = fh.read(nbytes)
                 if len(data) != nbytes:
                     raise IoFailure(f"pool {self.path} payload shorter than header claims")

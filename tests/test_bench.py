@@ -1,9 +1,13 @@
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from qrechacha import InsufficientResults, ParamError, compare_report, run_sweep
 from qrechacha.bench import BenchResult
+
+from gate_detail import paired_detail
 
 
 def test_bench_result_fields():
@@ -30,6 +34,18 @@ def test_timed_calls_run_without_gc(monkeypatch):
     assert gc.isenabled()
 
 
+def test_warm_ups_first_largest_size_first(monkeypatch):
+    from qrechacha import bench
+
+    seen = []
+    monkeypatch.setattr(bench, "xor_stream", lambda p, m, data: seen.append((len(data), p)))
+    run_sweep([("chacha", 8), ("chacha", 20)], sizes_mb=(0.001, 0.003, 0.002), reps=5)
+    sizes = [n for n, _ in seen]
+    assert sizes[:6] == [3000] * 2 + [2000] * 2 + [1000] * 2
+    assert sizes[6:] == [1000] * 10 + [3000] * 10 + [2000] * 10
+    assert len({id(p) for _, p in seen}) == len(seen)  # a fresh key for every call
+
+
 def test_validation():
     with pytest.raises(ParamError):
         run_sweep([("rc4", 8)], sizes_mb=(0.001,))
@@ -52,7 +68,8 @@ def test_qre_material_is_prederived():
 def test_scaling_roughly_linear():
     a, b = run_sweep([("chacha", 8)], sizes_mb=(4, 8), reps=5)
     ratio = b.mean_seconds / a.mean_seconds
-    assert 1.5 <= ratio <= 2.5  # doubling payload ~ doubles time
+    # doubling payload ~ doubles time
+    assert 1.5 <= ratio <= 2.5, f"mean ratio {ratio:.3f}; {paired_detail('4MB', a, '8MB', b)}"
 
 
 def _stub_results():
@@ -102,3 +119,15 @@ def test_json_report():
     assert doc["clock"] == "perf_counter"
     assert doc["clock_resolution_s"] > 0
     assert len(doc["results"]) == 6
+
+
+def test_env_stamp():
+    from qrechacha import __version__, vector
+
+    report = compare_report(_stub_results())
+    env = json.loads(report.to_json())["env"]
+    assert env == {"qrechacha": __version__, "numpy": np.__version__,
+                   "python": platform.python_version(), "chunk_blocks": vector.CHUNK_BLOCKS}
+    head = report.to_text().splitlines()[0]
+    assert head == "env: " + "  ".join(f"{k} {v}" for k, v in env.items())
+    assert "env" not in report.to_csv()

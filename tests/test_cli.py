@@ -1,12 +1,17 @@
 import http.server
+import io
 import json
 import os
+import sys
 import threading
+import types
 
 import pytest
 
+from qrechacha import CipherParams, vector, xor_stream
 from qrechacha.cli import main
 from qrechacha.qrn import QrnPool
+from qrechacha.randtests import battery_run, bits_from_bytes
 
 SEED = "aa" * 32
 
@@ -56,6 +61,72 @@ class TestEncryptDecrypt:
         with pytest.raises(SystemExit) as exc:
             run_cli("encrypt", "--key")
         assert exc.value.code == 2
+
+
+def _crypt_args(keydir, *extra):
+    return ("encrypt", "--rounds", 8, "--key", keydir / "k.bin", "--nonce", keydir / "n.bin",
+            *extra)
+
+
+def _want(counter, data):
+    params = CipherParams.from_bytes(bytes(range(32)), bytes(12), counter, 8)
+    return bytes(xor_stream(params, None, data))
+
+
+class TestStreamedCrypt:
+    """encrypt/decrypt stream pieces of vector.CHUNK_BLOCKS blocks; a width
+    of 3 blocks puts many piece edges inside small inputs."""
+
+    @pytest.fixture(autouse=True)
+    def narrow_pieces(self, monkeypatch):
+        monkeypatch.setattr(vector, "CHUNK_BLOCKS", 3)
+
+    @pytest.mark.parametrize("size", [0, 1, 191, 192, 193, 1000, 64 * 7])
+    def test_pieces_equal_one_call(self, keydir, size):
+        msg = os.urandom(size)
+        (keydir / "plain").write_bytes(msg)
+        assert run_cli(*_crypt_args(keydir, "--counter", 5, "--in", keydir / "plain",
+                                    "--out", keydir / "ct")) == 0
+        assert (keydir / "ct").read_bytes() == _want(5, msg)
+
+    def test_in_place(self, keydir):
+        msg = os.urandom(1000)
+        (keydir / "f").write_bytes(msg)
+        assert run_cli(*_crypt_args(keydir, "--in", keydir / "f", "--out", keydir / "f")) == 0
+        assert (keydir / "f").read_bytes() == _want(0, msg)
+        assert sorted(p.name for p in keydir.iterdir()) == ["f", "k.bin", "n.bin"]
+
+    def test_stdin_to_stdout(self, keydir, monkeypatch):
+        msg = os.urandom(1000)
+        out = io.BytesIO()
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(msg)))
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=out))
+        assert run_cli(*_crypt_args(keydir, "--counter", 9, "--in", "-", "--out", "-")) == 0
+        assert out.getvalue() == _want(9, msg)
+
+    def test_counter_overflow_leaves_no_output(self, keydir):
+        (keydir / "plain").write_bytes(bytes(1000))
+        (keydir / "old").write_bytes(b"kept")
+        for out in ("ct", "old"):
+            assert run_cli(*_crypt_args(keydir, "--counter", 2**32 - 10, "--in", keydir / "plain",
+                                        "--out", keydir / out)) == 2
+        assert (keydir / "old").read_bytes() == b"kept"
+        assert sorted(p.name for p in keydir.iterdir()) == ["k.bin", "n.bin", "old", "plain"]
+
+    def test_counter_overflow_from_a_pipe_removes_partial_output(self, keydir, monkeypatch):
+        # the size of a pipe is unknown, so whole pieces are written before
+        # the overflow shows; the temporary file must go with them
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(bytes(1000))))
+        assert run_cli(*_crypt_args(keydir, "--counter", 2**32 - 10, "--in", "-",
+                                    "--out", keydir / "ct")) == 2
+        assert sorted(p.name for p in keydir.iterdir()) == ["k.bin", "n.bin"]
+
+    def test_last_block_at_max_counter(self, keydir):
+        msg = os.urandom(10 * 64)
+        (keydir / "plain").write_bytes(msg)
+        assert run_cli(*_crypt_args(keydir, "--counter", 2**32 - 10, "--in", keydir / "plain",
+                                    "--out", keydir / "ct")) == 0
+        assert (keydir / "ct").read_bytes() == _want(2**32 - 10, msg)
 
 
 class TestKeystream:
@@ -126,6 +197,27 @@ class TestQrnCommands:
             assert pool.cursor_bytes == 0
         finally:
             server.shutdown()
+
+    def test_test_pool_reopens_non_quantum(self, tmp_path, capsys):
+        pool_path = tmp_path / "p.qrnp"
+        assert run_cli("qrn", "init", "--bytes", 4000, "--seed", "aa", "--out", pool_path) == 0
+        pool = QrnPool(pool_path)
+        assert pool.is_quantum is False
+        report = battery_run([bits_from_bytes(pool.take(2000), 16_000)], suite="gmt",
+                             provider=pool)
+        assert report.provider_is_quantum is False
+        assert run_cli("material", "derive", "--pool", pool_path, "--rounds", 8,
+                       "--out", tmp_path / "m.bin") == 0
+        assert "(non-quantum)" in capsys.readouterr().out
+
+    def test_non_quantum_flag_only_lowers(self, tmp_path, capsys):
+        pool_path = tmp_path / "q.qrnp"
+        QrnPool.create(pool_path, bytes(1000), is_quantum=True)
+        for extra, kind in (((), "(quantum)"), (("--non-quantum",), "(non-quantum)")):
+            assert run_cli("material", "derive", "--pool", pool_path, "--rounds", 8,
+                           *extra, "--out", tmp_path / "m.bin") == 0
+            assert kind in capsys.readouterr().out
+        assert QrnPool(pool_path).is_quantum is True
 
     def test_pool_exhausted_exit_code(self, tmp_path):
         pool_path = tmp_path / "p.qrnp"

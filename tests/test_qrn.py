@@ -46,13 +46,15 @@ class TestPool:
 
     def test_file_format_bit_exact(self, tmp_path):
         payload = b"\xaa\xbb\xcc\xdd"
-        QrnPool.create(tmp_path / "p.qrnp", payload)
-        raw = (tmp_path / "p.qrnp").read_bytes()
-        assert raw[0:4] == b"QRNP"
-        assert raw[4:6] == (1).to_bytes(2, "little")
-        assert raw[6:14] == (4).to_bytes(8, "little")
-        assert raw[14:22] == (0).to_bytes(8, "little")
-        assert raw[22:] == payload
+        for quantum, flags in ((False, 0), (True, 1)):
+            QrnPool.create(tmp_path / "p.qrnp", payload, is_quantum=quantum)
+            raw = (tmp_path / "p.qrnp").read_bytes()
+            assert raw[0:4] == b"QRNP"
+            assert raw[4:6] == (2).to_bytes(2, "little")
+            assert raw[6:14] == (4).to_bytes(8, "little")
+            assert raw[14:22] == (0).to_bytes(8, "little")
+            assert raw[22:24] == flags.to_bytes(2, "little")
+            assert raw[24:] == payload
 
     def test_handcrafted_file_parses(self, tmp_path):
         raw = b"QRNP" + struct.pack("<HQQ", 1, 10, 3) + bytes(range(10))
@@ -61,6 +63,26 @@ class TestPool:
         assert pool.total_bytes == 10
         assert pool.cursor_bytes == 3
         assert pool.take(2) == bytes([3, 4])
+        # version 1 never recorded its source, so it cannot claim quantum
+        assert pool.is_quantum is False
+
+    def test_quantum_flag_persists_and_only_lowers(self, tmp_path):
+        for quantum in (False, True):
+            path = tmp_path / f"{quantum}.qrnp"
+            assert QrnPool.create(path, bytes(64), is_quantum=quantum).is_quantum is quantum
+            assert QrnPool(path).is_quantum is quantum
+            pool = QrnPool(path, is_quantum=False)
+            pool.take(16)  # re-reading the header keeps the handle's downgrade
+            assert pool.is_quantum is False
+        assert QrnPool.create(tmp_path / "d.qrnp", bytes(64)).is_quantum is False
+
+    def test_bad_version_headers(self, tmp_path):
+        truncated_v2 = b"QRNP" + struct.pack("<HQQ", 2, 4, 0) + b"\x01"
+        unknown = b"QRNP" + struct.pack("<HQQH", 3, 4, 0, 0) + bytes(4)
+        for raw in (truncated_v2, unknown):
+            (tmp_path / "b.qrnp").write_bytes(raw)
+            with pytest.raises(IoFailure):
+                QrnPool(tmp_path / "b.qrnp")
 
     def test_take_zero(self, tmp_path):
         pool = QrnPool.create(tmp_path / "p.qrnp", bytes(64))

@@ -5,7 +5,7 @@ import pytest
 
 from qrechacha import CipherParams, QrnSessionMaterial, keystream_block
 from qrechacha import vector
-from qrechacha.cipher import init_state, run_rounds as scalar_rounds
+from qrechacha.cipher import blocks_needed, init_state, run_rounds as scalar_rounds
 
 rand = random.Random(0xBA7C4)
 
@@ -124,3 +124,44 @@ def test_feedforward_batch_matches_per_column():
         xr = scalar_rounds(state, rounds, mat.round_masks)
         expect = [(a + b) & 0xFFFFFFFF for a, b in zip(state, xr)]
         assert [int(w) for w in z[:, col]] == expect
+
+
+EDGE = vector.CHUNK_BLOCKS * 64  # bytes per chunk at the shipped width
+EDGE_SIZES = (EDGE - 1, EDGE, EDGE + 1, 2 * EDGE + 65)
+
+
+def _edge_counter(start, nblocks):
+    # "straddle" puts a multiple of CHUNK_BLOCKS inside the counter span;
+    # "top" ends the span at the last counter value
+    return {"zero": 0, "straddle": vector.CHUNK_BLOCKS - 3, "top": 2**32 - nblocks}[start]
+
+
+@pytest.mark.parametrize("start", ["zero", "straddle", "top"])
+@pytest.mark.parametrize("size", EDGE_SIZES)
+def test_shipped_width_edges_match_scalar(size, start):
+    nblocks = blocks_needed(size)
+    edges = {0, nblocks - 1}
+    for edge in range(vector.CHUNK_BLOCKS, nblocks, vector.CHUNK_BLOCKS):
+        edges |= {edge - 1, edge}
+    key, nonce = rand_words(8), rand_words(3)
+    for rounds, mat in ((8, rand_material(8)), (20, None)):
+        params = CipherParams(key, nonce, _edge_counter(start, nblocks), rounds)
+        got = vector.keystream_bytes(params, mat, size)
+        assert len(got) == size
+        for block in sorted(edges):
+            at = CipherParams(key, nonce, params.counter + block, rounds)
+            want = keystream_block(at, mat)[: size - 64 * block]
+            assert got[64 * block : 64 * (block + 1)] == want, (rounds, block)
+
+
+@pytest.mark.parametrize("start", ["zero", "straddle", "top"])
+@pytest.mark.parametrize("size", EDGE_SIZES)
+def test_shipped_width_every_byte_matches_openssl(size, start):
+    ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+    key, nonce = rand.randbytes(32), rand.randbytes(12)
+    counter = _edge_counter(start, blocks_needed(size))
+    data = np.random.default_rng(size).bytes(size)
+    algo = ciphers.algorithms.ChaCha20(key, counter.to_bytes(4, "little") + nonce)
+    want = ciphers.Cipher(algo, mode=None).encryptor().update(data)
+    params = CipherParams.from_bytes(key, nonce, counter, 20)
+    assert vector.xor_with_keystream(params, None, data) == want
