@@ -106,20 +106,28 @@ def _regular_size(fh):
 def _replacing(path):
     """Yield a binary handle whose bytes become path only if the block
     completes: they go to a sibling temporary file that os.replace renames
-    over path, so infile == outfile works and a failure leaves no partial
-    output.  '-' yields stdout, written as it goes."""
+    over path (a symlink's target, not the link), so infile == outfile
+    works and a failure leaves no partial output.  '-' (stdout), devices
+    and FIFOs are written as it goes: there is no file to replace."""
     if str(path) == "-":
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
         return
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    path = Path(os.path.realpath(path))
+    direct = path.exists() and not path.is_file()
+    tmp = path if direct else path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
-        fh = open(tmp, "xb")
+        fh = open(tmp, "wb" if direct else "xb")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    if direct:
+        with fh:
+            yield fh
+        return
     try:
         with fh:
+            if path.exists():  # the replacement keeps the old file's permission bits
+                os.fchmod(fh.fileno(), stat.S_IMODE(path.stat().st_mode))
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

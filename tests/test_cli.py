@@ -2,6 +2,7 @@ import http.server
 import io
 import json
 import os
+import stat
 import sys
 import threading
 import types
@@ -92,9 +93,36 @@ class TestStreamedCrypt:
     def test_in_place(self, keydir):
         msg = os.urandom(1000)
         (keydir / "f").write_bytes(msg)
+        (keydir / "f").chmod(0o600)
         assert run_cli(*_crypt_args(keydir, "--in", keydir / "f", "--out", keydir / "f")) == 0
         assert (keydir / "f").read_bytes() == _want(0, msg)
+        assert stat.S_IMODE((keydir / "f").stat().st_mode) == 0o600
         assert sorted(p.name for p in keydir.iterdir()) == ["f", "k.bin", "n.bin"]
+
+    def test_symlinked_output_keeps_the_link(self, keydir):
+        msg = os.urandom(1000)
+        (keydir / "plain").write_bytes(msg)
+        (keydir / "target").write_bytes(b"old")
+        (keydir / "link").symlink_to(keydir / "target")
+        assert run_cli(*_crypt_args(keydir, "--in", keydir / "plain", "--out", keydir / "link")) == 0
+        assert (keydir / "link").is_symlink()
+        assert (keydir / "target").read_bytes() == _want(0, msg)
+
+    def test_fifo_output_is_written_through(self, keydir):
+        msg = os.urandom(1000)
+        (keydir / "plain").write_bytes(msg)
+        fifo = keydir / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert run_cli(*_crypt_args(keydir, "--in", keydir / "plain", "--out", fifo)) == 0
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [_want(0, msg)]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
     def test_stdin_to_stdout(self, keydir, monkeypatch):
         msg = os.urandom(1000)
