@@ -13,7 +13,6 @@ from .analysis import (
     DiffProbEstimate,
     DiffSpec,
     avalanche_metric,
-    check_injection_constraint,
     empirical_diff_probability,
 )
 from .bench import BenchResult, compare_report, run_sweep
@@ -22,6 +21,7 @@ from .cipher import (
     CONSTANTS,
     CipherParams,
     MASK32,
+    Origin,
     QrnSessionMaterial,
     ROUND_PRESETS,
     column_round,
@@ -55,7 +55,6 @@ from .errors import (
 from .qrn import (
     DeterministicProvider,
     QrnPool,
-    RemoteProvider,
     derive_session,
     fetch_remote,
     material_bytes_needed,

@@ -1,9 +1,10 @@
 """Empirical security instrumentation.
 
-Monte-Carlo proxies, not proofs: avalanche flip fractions for diffusion,
-the injection-difference admissibility check, and an empirical estimator
-of differential probabilities over a few rounds.  All estimators are pure
-functions of their RNG seed and embarrassingly parallel over samples.
+Monte-Carlo proxies, not proofs: avalanche flip fractions for diffusion
+and an empirical estimator of differential probabilities over a few
+rounds, whose resampled mode draws only admissible injection masks.  All
+estimators are pure functions of their RNG seed and embarrassingly
+parallel over samples.
 """
 
 from __future__ import annotations
@@ -19,21 +20,6 @@ from .cipher import CipherParams, QrnSessionMaterial, _check_rounds, _check_word
 from .errors import MaskCountMismatch, ParamError
 
 FLIP_SEGMENTS = {"key": (4, 256), "nonce": (13, 96), "counter": (12, 32)}
-
-
-def check_injection_constraint(mask_a, mask_b, state_a, state_b) -> bool:
-    """True iff the mask difference avoids the state difference at every
-    injected word: (maskA_i ^ maskB_i) != (stateA_i ^ stateB_i) for i < 4.
-
-    state_a/state_b are the 16-word inputs to the same injection round in
-    two related computations.  Symmetric under swapping the A and B sides.
-    """
-    mask_a = _check_words(mask_a, 4, "mask_a")
-    mask_b = _check_words(mask_b, 4, "mask_b")
-    return all(
-        (mask_a[i] ^ mask_b[i]) != (int(state_a[i]) ^ int(state_b[i]))
-        for i in range(4)
-    )
 
 
 def _generator(seed) -> np.random.Generator:
@@ -183,7 +169,9 @@ class DiffProbEstimate:
 
 def _admissible_mask_pairs(rng, dx, batch):
     """Draw per-sample mask pairs for one injection round, redrawing any
-    sample whose mask difference collides with its state difference dx."""
+    sample whose mask difference collides with its state difference dx.
+    A pair is admissible iff (ma_i ^ mb_i) != dx_i at every injected word
+    i < 4, which is symmetric in the two sides."""
     ma = rng.integers(0, 1 << 32, size=(4, batch), dtype=np.uint32)
     mb = rng.integers(0, 1 << 32, size=(4, batch), dtype=np.uint32)
     while True:

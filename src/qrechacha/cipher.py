@@ -23,7 +23,7 @@ differential estimators run.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CounterOverflow, MaskCountMismatch, ParamError
 
@@ -143,15 +143,30 @@ class CipherParams:
 
 
 @dataclass(frozen=True)
+class Origin:
+    """Where bytes entered the program, recorded once at that point: a pool's
+    header flag, a deterministic (never quantum) stream, a material file's
+    trailer or a corpus manifest.  Reports copy it; nothing else sets it."""
+
+    identity: str
+    is_quantum: bool
+
+
+UNRECORDED = Origin("unspecified", False)
+
+
+@dataclass(frozen=True)
 class QrnSessionMaterial:
     """Constant mask plus one 4-word mask per injection (even-r) round.
 
     Key-equivalent secret: both endpoints need the same material, fixed for
     the whole session so that decryption and random access reproduce it.
+    `origin` travels with the masks but takes no part in equality.
     """
 
     const_mask: tuple[int, ...]
     round_masks: tuple[tuple[int, ...], ...]
+    origin: Origin = field(default=UNRECORDED, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "const_mask", _check_words(self.const_mask, 4, "const_mask"))

@@ -5,7 +5,10 @@ material derive, test, avalanche, diffprob, bench.
 
 Secrets travel through files or environment variables, never flag values.
 Reports print as text; --report writes .json/.txt by extension (.csv too
-for test and bench).
+for test and bench) before the text prints, so a closed stdout loses no
+report.  Whether material or sequences are quantum is read from where they
+came from (pool header, material file trailer, corpus manifest); no flag
+sets it.
 Exit codes: 0 success, 2 usage, 3 I/O or transport, 4 pool exhausted,
 5 verification/test failure.
 """
@@ -26,6 +29,7 @@ from . import analysis, bench, generate, qrn, vector
 from .cipher import (
     BLOCK_BYTES,
     CipherParams,
+    Origin,
     ROUND_PRESETS,
     blocks_needed,
     check_counter_span,
@@ -65,23 +69,21 @@ def _parse(convert, text: str, flag: str):
 
 
 def _load_material(args):
-    if args.material is None:
-        return None
-    return qrn.session_parse(_read(args.material))
+    return None if args.material is None else qrn.read_material(args.material)
 
 
 def _emit_report(args, obj) -> None:
-    """Print the text form; --report writes csv (tabular reports), text or json."""
+    """--report writes csv (tabular reports), text or json; then the text
+    form prints."""
+    if args.report is not None:
+        suffix = Path(args.report).suffix.lower()
+        if suffix == ".csv" and hasattr(obj, "to_csv"):
+            _write(args.report, obj.to_csv().encode())
+        elif suffix in (".txt", ".text"):
+            _write(args.report, (obj.to_text() + "\n").encode())
+        else:
+            _write(args.report, (obj.to_json() + "\n").encode())
     print(obj.to_text())
-    if args.report is None:
-        return
-    suffix = Path(args.report).suffix.lower()
-    if suffix == ".csv" and hasattr(obj, "to_csv"):
-        _write(args.report, obj.to_csv().encode())
-    elif suffix in (".txt", ".text"):
-        _write(args.report, (obj.to_text() + "\n").encode())
-    else:
-        _write(args.report, (obj.to_json() + "\n").encode())
 
 
 def _open_input(path):
@@ -161,12 +163,8 @@ def cmd_crypt(args) -> int:
 def cmd_keystream(args) -> int:
     seed = _parse(bytes.fromhex, args.seed, "--seed") if args.seed else os.urandom(32)
     spec = generate.CorpusSpec(seed, args.count, args.bits, args.rounds, args.counter)
-    material = _load_material(args)
-    source = args.material if args.material else "seed-derived"
-    manifest = generate.write_corpus(
-        spec, args.out_dir, material, material_source=str(source),
-        is_quantum=args.quantum if args.material else False, debug_keys=args.debug_keys,
-    )
+    manifest = generate.write_corpus(spec, args.out_dir, _load_material(args),
+                                     debug_keys=args.debug_keys)
     print(f"wrote {spec.count} sequence(s) of {spec.bits} bits under {args.out_dir}")
     print(f"manifest: {manifest}")
     return 0
@@ -202,28 +200,21 @@ def cmd_qrn_status(args) -> int:
     print(f"total:     {pool.total_bytes} bytes")
     print(f"cursor:    {pool.cursor_bytes} bytes consumed")
     print(f"remaining: {pool.remaining} bytes")
-    print(f"quantum:   {'yes' if pool.is_quantum else 'no'}")
+    print(f"quantum:   {'yes' if pool.origin.is_quantum else 'no'}")
     return 0
 
 
 def cmd_material_derive(args) -> int:
     if args.pool:
-        source = qrn.QrnPool(args.pool, is_quantum=not args.non_quantum)
+        source = qrn.QrnPool(args.pool)
     else:
         source = qrn.DeterministicProvider(_parse(bytes.fromhex, args.seed, "--seed"))
     material = qrn.derive_session(source, args.rounds)
     qrn.write_material(args.out, material)
-    kind = "quantum" if source.is_quantum else "non-quantum"
-    print(f"derived material for {args.rounds} rounds from {source.identity} ({kind}) -> {args.out}")
+    kind = "quantum" if material.origin.is_quantum else "non-quantum"
+    print(f"derived material for {args.rounds} rounds from {material.origin.identity} "
+          f"({kind}) -> {args.out}")
     return 0
-
-
-class _ManifestProvider:
-    """Provider stub naming an in-process corpus for battery reports."""
-
-    def __init__(self, identity: str, is_quantum: bool):
-        self.identity = identity
-        self.is_quantum = is_quantum
 
 
 def cmd_test(args) -> int:
@@ -232,23 +223,25 @@ def cmd_test(args) -> int:
         if not paths:
             raise IoFailure(f"no '{args.glob}' files under {args.input_dir}")
         sequences = (bits_from_bytes(_read(p), args.bits) for p in paths)
-        provider = _ManifestProvider(f"files:{args.input_dir}", args.quantum)
+        manifest = Path(args.input_dir) / generate.MANIFEST_NAME
+        origin = (generate.read_manifest(manifest)[1] if manifest.exists()
+                  else Origin(f"files:{args.input_dir}", False))
     else:
         seed = _parse(bytes.fromhex, args.seed, "--seed") if args.seed else os.urandom(32)
         spec = generate.CorpusSpec(seed, args.sequences, args.bits, args.rounds, 0)
         material = _load_material(args)
-        quantum = args.quantum if args.material else False
         sequences = (
             bits_from_bytes(raw, args.bits)
             for raw in generate.iter_sequences(spec, material)
         )
-        provider = _ManifestProvider(f"qre-chacha{args.rounds}:seed={seed.hex()[:16]}", quantum)
+        origin = (material.origin if material is not None
+                  else Origin(f"qre-chacha{args.rounds}:seed={seed.hex()[:16]}", False))
     report = battery_run(
         sequences,
         suite=args.suite,
         alpha=args.alpha,
         alpha_uniformity=args.alpha_uniformity,
-        provider=provider,
+        origin=origin,
         jobs=args.jobs,
     )
     _emit_report(args, report)
@@ -336,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=8)
     p.add_argument("--counter", type=int, default=0)
     p.add_argument("--seed", help="hex generation seed (random when omitted)")
-    p.add_argument("--material", help="session material file (else derived from seed)")
-    p.add_argument("--quantum", action="store_true",
-                   help="mark supplied material as quantum-sourced")
+    p.add_argument("--material", help="session material file (else derived from seed); "
+                   "the manifest records its source and quantum flag")
     p.add_argument("--debug-keys", action="store_true",
                    help="record per-sequence keys in the manifest (debug only)")
     p.add_argument("--out-dir", required=True)
@@ -346,14 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qrn", help="entropy pool management")
     qsub = p.add_subparsers(dest="qrn_command", required=True)
-    f = qsub.add_parser("fetch", help="fetch bytes from a QRNG endpoint into a new pool")
+    f = qsub.add_parser("fetch", help="fetch bytes from a QRNG endpoint into a new pool "
+                        "flagged quantum")
     f.add_argument("--endpoint", help=f"URL; default from ${qrn.ENDPOINT_ENV}")
     f.add_argument("--mode", choices=("raw", "hex"), help=f"decode mode; default from ${qrn.MODE_ENV}")
     f.add_argument("--bytes", dest="nbytes", type=int, required=True)
     f.add_argument("--timeout", type=float, default=10.0)
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_qrn_fetch)
-    i = qsub.add_parser("init", help="create a local (non-quantum) test pool")
+    i = qsub.add_parser("init", help="create a local test pool, flagged non-quantum")
     i.add_argument("--bytes", dest="nbytes", type=int, required=True)
     i.add_argument("--seed", help="hex seed for a reproducible pool; default OS entropy")
     i.add_argument("--out", required=True)
@@ -364,13 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("material", help="session material management")
     msub = p.add_subparsers(dest="material_command", required=True)
-    d = msub.add_parser("derive", help="derive session material from a pool or seed")
+    d = msub.add_parser("derive", help="derive session material from a pool or seed; "
+                        "the file records whether it is quantum")
     src = d.add_mutually_exclusive_group(required=True)
-    src.add_argument("--pool", help="entropy pool file")
+    src.add_argument("--pool", help="entropy pool file (quantum iff its header says so)")
     src.add_argument("--seed", help="hex seed (deterministic, non-quantum)")
-    d.add_argument("--non-quantum", action="store_true",
-                   help="treat a quantum pool's bytes as non-quantum (a pool's "
-                        "header flag can be lowered, never raised)")
     d.add_argument("--rounds", type=int, required=True)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_material_derive)
@@ -383,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--alpha-uniformity", type=float, default=1e-4)
     p.add_argument("--seed", help="hex corpus seed (random when omitted)")
-    p.add_argument("--material", help="session material file (else derived from seed)")
-    p.add_argument("--quantum", action="store_true",
-                   help="mark supplied material/sequences as quantum-sourced")
-    p.add_argument("--input-dir", help="test packed bit files instead of generating")
+    p.add_argument("--material", help="session material file (else derived from seed); "
+                   "the report copies its origin")
+    p.add_argument("--input-dir", help="test packed bit files instead of generating; "
+                   "the report copies the origin in its manifest.json, if any")
     p.add_argument("--glob", default="*.bits", help="pattern under --input-dir")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
     p.add_argument("--report", help="write report here (.json/.csv/.txt by extension)")
     p.set_defaults(func=cmd_test)
 

@@ -4,22 +4,25 @@ A corpus is N keystream sequences of L bits, one fresh key per sequence,
 zero nonce, shared session material.  Keys come from a recorded seed
 (SHA-256 of seed || index), so a manifest with the seed replays the exact
 corpus; individual keys are not written out unless debugging demands it.
+The manifest also records the material's origin, which `test --input-dir`
+copies into its report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .cipher import BLOCK_BYTES, CipherParams, QrnSessionMaterial
+from .cipher import BLOCK_BYTES, CipherParams, Origin, QrnSessionMaterial
 from .errors import IoFailure, ParamError
 from .qrn import DeterministicProvider, derive_session, session_serialize
 from .vector import keystream_bytes
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+SEED_DERIVED = Origin("seed-derived", False)
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,8 @@ def key_for_index(seed: bytes, index: int) -> bytes:
 
 
 def material_from_seed(seed: bytes, rounds: int) -> QrnSessionMaterial:
-    return derive_session(DeterministicProvider(seed + b":material"), rounds)
+    material = derive_session(DeterministicProvider(seed + b":material"), rounds)
+    return replace(material, origin=SEED_DERIVED)
 
 
 def iter_sequences(spec: CorpusSpec, material: QrnSessionMaterial | None = None):
@@ -65,7 +69,7 @@ def iter_sequences(spec: CorpusSpec, material: QrnSessionMaterial | None = None)
 
 
 def manifest_dict(spec: CorpusSpec, material: QrnSessionMaterial,
-                  material_source: str, is_quantum: bool, debug_keys: bool = False) -> dict:
+                  debug_keys: bool = False) -> dict:
     manifest = {
         "version": MANIFEST_VERSION,
         "seed": spec.seed.hex(),
@@ -76,9 +80,9 @@ def manifest_dict(spec: CorpusSpec, material: QrnSessionMaterial,
         "nonce": "00" * 12,
         "key_derivation": "sha256(seed || index_le64 || ':key')",
         "material": {
-            "source": material_source,
+            "source": material.origin.identity,
             "sha256": hashlib.sha256(session_serialize(material)).hexdigest(),
-            "is_quantum": is_quantum,
+            "is_quantum": material.origin.is_quantum,
         },
         "bit_order": "msb-first within each byte",
     }
@@ -89,7 +93,6 @@ def manifest_dict(spec: CorpusSpec, material: QrnSessionMaterial,
 
 
 def write_corpus(spec: CorpusSpec, outdir, material: QrnSessionMaterial | None = None,
-                 material_source: str = "seed-derived", is_quantum: bool = False,
                  debug_keys: bool = False) -> Path:
     """Write seq_NNNNN.bits files plus the manifest; returns the manifest path."""
     outdir = Path(outdir)
@@ -100,16 +103,15 @@ def write_corpus(spec: CorpusSpec, outdir, material: QrnSessionMaterial | None =
         for i, data in enumerate(iter_sequences(spec, material)):
             (outdir / f"seq_{i:05d}.bits").write_bytes(data)
         manifest_path = outdir / MANIFEST_NAME
-        manifest_path.write_text(
-            json.dumps(manifest_dict(spec, material, material_source, is_quantum, debug_keys),
-                       indent=2)
-        )
+        manifest_path.write_text(json.dumps(manifest_dict(spec, material, debug_keys), indent=2))
     except OSError as exc:
         raise IoFailure(f"cannot write corpus under {outdir}: {exc}") from exc
     return manifest_path
 
 
-def spec_from_manifest(path) -> CorpusSpec:
+def read_manifest(path) -> tuple[CorpusSpec, Origin]:
+    """The spec that replays a manifest's corpus and its material's origin
+    (quantum only if the manifest holds JSON true)."""
     try:
         manifest = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -121,12 +123,14 @@ def spec_from_manifest(path) -> CorpusSpec:
     if manifest.get("version") != MANIFEST_VERSION:
         raise IoFailure(f"unsupported manifest version in {path}")
     try:
-        return CorpusSpec(
+        spec = CorpusSpec(
             seed=bytes.fromhex(manifest["seed"]),
             count=int(manifest["count"]),
             bits=int(manifest["bits"]),
             rounds=int(manifest["rounds"]),
             counter=int(manifest["counter"]),
         )
+        material = manifest["material"]
+        return spec, Origin(str(material["source"]), material["is_quantum"] is True)
     except (KeyError, TypeError, ValueError) as exc:
         raise IoFailure(f"manifest {path} is malformed: {exc!r}") from exc

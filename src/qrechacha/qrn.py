@@ -1,13 +1,16 @@
 """Quantum-random-number sourcing and session material.
 
-Three byte providers share a `take(n) -> bytes` surface:
+Bytes enter through two providers, each with `take(n) -> bytes` and an
+`origin` (a `cipher.Origin` record) made where its bytes come from:
 
-  * QrnPool            - file-backed entropy store with a persistent cursor
-  * RemoteProvider     - one-shot HTTP(S) fetch from a QRNG endpoint
-  * DeterministicProvider - seeded SHA-256 stream for tests (never quantum)
+  * QrnPool               - file-backed entropy store with a persistent
+                            cursor; its header flag says whether it is quantum
+  * DeterministicProvider - seeded SHA-256 stream for tests, never quantum
 
-Every provider exposes `identity` and `is_quantum`; downstream reports must
-carry the flag unchanged, so deterministic sources are always flagged False.
+`fetch_remote` reads a QRNG endpoint; `qrn fetch` stores the bytes in a pool
+flagged quantum, the only way a pool gets that flag.  `derive_session`
+stamps the provider's origin on the material, and a material file keeps the
+flag in its trailer, so reports copy a recorded fact, never a user's claim.
 
 Pool file layout (little-endian):
   bytes 0-3   magic "QRNP"
@@ -18,6 +21,18 @@ Pool file layout (little-endian):
   bytes 24-   payload
 Version 1 files lack the flags field (payload from byte 22).  They never
 recorded their source, so they open as non-quantum.
+
+Material file layout (little-endian):
+  bytes 0-1   material version (currently 1)
+  bytes 2-3   rounds R
+  bytes 4-    masks, 16 bytes (4 words) each: the constant mask, then one
+              per injection round r = 0, 2, ..., R-2; `session_serialize`
+              is exactly bytes 0 to here
+  last 2      flags trailer, FLAG_QUANTUM as in the pool header
+Files without the trailer read as non-quantum, like version 1 pools.
+
+Pools and material files are created owner-only (0600): pool bytes become
+masks and material is key-equivalent.
 """
 
 from __future__ import annotations
@@ -29,9 +44,10 @@ import struct
 import urllib.error
 import urllib.parse
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
-from .cipher import QrnSessionMaterial, _check_rounds
+from .cipher import Origin, QrnSessionMaterial, _check_rounds
 from .errors import (
     DecodeError,
     IoFailure,
@@ -46,7 +62,7 @@ POOL_MAGIC = b"QRNP"
 POOL_VERSION = 2
 FLAG_QUANTUM = 1
 _POOL_HEADER = struct.Struct("<4sHQQ")  # the part common to versions 1 and 2
-_FLAGS = struct.Struct("<H")  # version 2 only, right after the common part
+_FLAGS = struct.Struct("<H")  # pool v2 after the common part; material trailer
 _PAYLOAD_OFFSET = {1: _POOL_HEADER.size, 2: _POOL_HEADER.size + _FLAGS.size}
 _CURSOR_OFFSET = 14
 
@@ -65,6 +81,18 @@ def material_bytes_needed(rounds: int) -> int:
     return MASK_BYTES * (1 + _check_rounds(rounds) // 2)
 
 
+def _write_secret(path, what: str, *parts: bytes) -> None:
+    """Write parts in order to an owner-only (0600) file and sync it to disk."""
+    try:
+        with open(path, "wb", opener=lambda p, flags: os.open(p, flags, 0o600)) as fh:
+            os.fchmod(fh.fileno(), 0o600)  # an existing file keeps its old mode otherwise
+            fh.writelines(parts)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
 class QrnPool:
     """File-backed entropy pool with a never-rewinding consumption cursor.
 
@@ -75,36 +103,24 @@ class QrnPool:
     processes (or through other handles) never receive the same bytes.
     """
 
-    def __init__(self, path, is_quantum: bool = True):
-        """Open an existing pool.  The quantum flag comes from the header;
-        is_quantum=False marks a quantum pool's bytes non-quantum for this
-        handle, and True never raises a header that says non-quantum."""
+    def __init__(self, path):
+        """Open an existing pool; its origin is quantum iff the header says so."""
         self.path = Path(path)
-        self._allow_quantum = bool(is_quantum)
         self._read_header()
 
     @property
-    def identity(self) -> str:
-        return f"pool:{self.path.name}"
-
-    @property
-    def is_quantum(self) -> bool:
-        return self._header_quantum and self._allow_quantum
+    def origin(self) -> Origin:
+        return Origin(f"pool:{self.path.name}", self._quantum)
 
     @classmethod
     def create(cls, path, data: bytes, is_quantum: bool = False) -> "QrnPool":
-        """Write a new pool holding data, recording is_quantum in its header."""
+        """Write a new owner-only pool holding data, recording is_quantum in
+        its header."""
         if not data:
             raise ParamError("pool payload must be nonempty")
-        try:
-            with open(path, "wb") as fh:
-                fh.write(_POOL_HEADER.pack(POOL_MAGIC, POOL_VERSION, len(data), 0))
-                fh.write(_FLAGS.pack(FLAG_QUANTUM if is_quantum else 0))
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            raise IoFailure(f"cannot write pool {path}: {exc}") from exc
+        header = _POOL_HEADER.pack(POOL_MAGIC, POOL_VERSION, len(data), 0)
+        flags = _FLAGS.pack(FLAG_QUANTUM if is_quantum else 0)
+        _write_secret(path, "pool", header, flags, data)
         return cls(path)
 
     def _read_header(self) -> None:
@@ -132,7 +148,7 @@ class QrnPool:
             raise IoFailure(f"corrupt pool {self.path}: cursor {cursor} past total {total}")
         self.total_bytes = total
         self.cursor_bytes = cursor
-        self._header_quantum = bool(flags & FLAG_QUANTUM)
+        self._quantum = bool(flags & FLAG_QUANTUM)
         self._payload_offset = _PAYLOAD_OFFSET[version]
 
     @property
@@ -170,12 +186,10 @@ class QrnPool:
 
 
 class DeterministicProvider:
-    """Counter-mode SHA-256 byte stream; reproducible and explicitly non-quantum.
+    """Counter-mode SHA-256 byte stream; reproducible and never quantum.
 
     The stream depends only on the seed, not on how takes are sized.
     """
-
-    is_quantum = False
 
     def __init__(self, seed):
         if isinstance(seed, int):
@@ -187,10 +201,7 @@ class DeterministicProvider:
         self._seed = bytes(seed)
         self._counter = 0
         self._buf = b""
-
-    @property
-    def identity(self) -> str:
-        return "deterministic:" + hashlib.sha256(self._seed).hexdigest()[:12]
+        self.origin = Origin("deterministic:" + hashlib.sha256(self._seed).hexdigest()[:12], False)
 
     def take(self, nbytes: int) -> bytes:
         if nbytes < 0:
@@ -239,28 +250,11 @@ def fetch_remote(endpoint: str, nbytes: int, mode: str = "raw", timeout: float =
     return data[:nbytes]
 
 
-class RemoteProvider:
-    """Adapter giving a remote QRNG endpoint the provider surface."""
-
-    is_quantum = True
-
-    def __init__(self, endpoint: str, mode: str = "raw", timeout: float = 10.0):
-        self.endpoint = endpoint
-        self.mode = mode
-        self.timeout = timeout
-
-    @property
-    def identity(self) -> str:
-        return f"remote:{self.endpoint}"
-
-    def take(self, nbytes: int) -> bytes:
-        return fetch_remote(self.endpoint, nbytes, mode=self.mode, timeout=self.timeout)
-
-
 def derive_session(source, rounds: int) -> QrnSessionMaterial:
     """Consume mask material in the fixed order both endpoints must share:
     16 bytes of constant mask, then 16 bytes per injection round for
-    r = 0, 2, ..., R-2.  Each group decodes to 4 little-endian words.
+    r = 0, 2, ..., R-2.  Each group decodes to 4 little-endian words.  The
+    material carries the source's origin.
     """
     rounds = _check_rounds(rounds)
     data = source.take(material_bytes_needed(rounds))
@@ -268,7 +262,7 @@ def derive_session(source, rounds: int) -> QrnSessionMaterial:
         struct.unpack("<4I", data[off : off + MASK_BYTES])
         for off in range(0, len(data), MASK_BYTES)
     ]
-    return QrnSessionMaterial(groups[0], tuple(groups[1:]))
+    return QrnSessionMaterial(groups[0], tuple(groups[1:]), source.origin)
 
 
 def session_serialize(material: QrnSessionMaterial) -> bytes:
@@ -299,15 +293,21 @@ def session_parse(data: bytes) -> QrnSessionMaterial:
 
 
 def read_material(path) -> QrnSessionMaterial:
+    """Material from a file; its origin is the path as given, quantum iff
+    the flags trailer says so."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read material {path}: {exc}") from exc
-    return session_parse(data)
+    flags = 0
+    # serialized material is 4 + 16k bytes long, so a trailer shows in the remainder
+    if len(data) % MASK_BYTES == (4 + _FLAGS.size) % MASK_BYTES:
+        (flags,) = _FLAGS.unpack_from(data, len(data) - _FLAGS.size)
+        data = data[: -_FLAGS.size]
+    return replace(session_parse(data), origin=Origin(str(path), bool(flags & FLAG_QUANTUM)))
 
 
 def write_material(path, material: QrnSessionMaterial) -> None:
-    try:
-        Path(path).write_bytes(session_serialize(material))
-    except OSError as exc:
-        raise IoFailure(f"cannot write material {path}: {exc}") from exc
+    """session_serialize bytes plus the flags trailer, owner-only."""
+    flags = _FLAGS.pack(FLAG_QUANTUM if material.origin.is_quantum else 0)
+    _write_secret(path, "material", session_serialize(material), flags)

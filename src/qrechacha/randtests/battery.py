@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cipher import UNRECORDED, Origin
 from ..errors import ParamError, ParamTooLarge, SequenceTooShort
 from . import tests as stattests
 from .bits import as_bits
@@ -179,8 +180,7 @@ class BatteryReport:
     alpha_uniformity: float
     sequences: int
     bits_per_sequence: int
-    provider_identity: str
-    provider_is_quantum: bool
+    origin: Origin
     lines: list[BatteryLine]
 
     @property
@@ -196,8 +196,8 @@ class BatteryReport:
             "sequences": self.sequences,
             "bits_per_sequence": self.bits_per_sequence,
             "provider": {
-                "identity": self.provider_identity,
-                "is_quantum": self.provider_is_quantum,
+                "identity": self.origin.identity,
+                "is_quantum": self.origin.is_quantum,
             },
             "passed": self.passed,
             "results": [line.to_dict() for line in self.lines],
@@ -221,7 +221,7 @@ class BatteryReport:
         out = [
             f"suite={self.suite}  sequences={self.sequences}  bits={self.bits_per_sequence}  "
             f"alpha={self.alpha}  alpha_uniformity={self.alpha_uniformity}",
-            f"provider={self.provider_identity}  is_quantum={self.provider_is_quantum}",
+            f"provider={self.origin.identity}  is_quantum={self.origin.is_quantum}",
             f"proportion interval: [{self.lines[0].interval[0]:.4f}, {self.lines[0].interval[1]:.4f}]"
             if self.lines else "",
             "",
@@ -239,16 +239,6 @@ class BatteryReport:
         out.append("")
         out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(out)
-
-
-def _provider_info(provider) -> tuple[str, bool]:
-    if provider is None:
-        return "unspecified", False
-    identity = getattr(provider, "identity", None)
-    quantum = getattr(provider, "is_quantum", None)
-    if identity is None or quantum is None:
-        raise ParamError("provider must expose identity and is_quantum")
-    return str(identity), bool(quantum)
 
 
 def _run_sequence(bits, plan, alpha):
@@ -281,21 +271,24 @@ def battery_run(
     suite: str = "both",
     alpha: float = 0.01,
     alpha_uniformity: float = 1e-4,
-    provider=None,
+    origin: Origin = UNRECORDED,
     jobs: int = 1,
 ) -> BatteryReport:
     """Run the chosen suite over an iterable of bit sequences.
 
     Sequences must all share one length; 10 or more are needed before the
     uniformity level means anything (fewer still compute, uniformity_p is
-    reported as None).  Needs 0 < alpha < 1 and 0 <= alpha_uniformity <= 1.
+    reported as None).  Needs 0 < alpha < 1, 0 <= alpha_uniformity <= 1 and
+    jobs >= 1.  The report copies origin, the record of where the sequences
+    came from.
     """
     if not 0 < alpha < 1:
         raise ParamError(f"alpha must be in (0, 1), got {alpha}")
     if not 0 <= alpha_uniformity <= 1:
         raise ParamError(f"alpha_uniformity must be in [0, 1], got {alpha_uniformity}")
+    if jobs < 1:
+        raise ParamError(f"jobs must be >= 1, got {jobs}")
     plan = build_plan(suite)
-    identity, quantum = _provider_info(provider)
 
     results: list[list] = []  # per sequence: one P-value or note per row
     nbits = None
@@ -347,7 +340,6 @@ def battery_run(
         alpha_uniformity=alpha_uniformity,
         sequences=count,
         bits_per_sequence=int(nbits),
-        provider_identity=identity,
-        provider_is_quantum=quantum,
+        origin=origin,
         lines=lines,
     )

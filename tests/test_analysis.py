@@ -7,7 +7,6 @@ from qrechacha import (
     MaskCountMismatch,
     ParamError,
     avalanche_metric,
-    check_injection_constraint,
     derive_session,
     empirical_diff_probability,
     DeterministicProvider,
@@ -23,30 +22,55 @@ def params_for(rounds, counter=0):
     return CipherParams(key=(0,) * 8, nonce=(0,) * 3, counter=counter, rounds=rounds)
 
 
+class QueuedRng:
+    """Replays queued draws, then defers to a real generator."""
+
+    def __init__(self, queued):
+        self.queued = list(queued)
+        self.rng = np.random.default_rng(18)
+
+    def integers(self, lo, hi, size=None, dtype=None):
+        if self.queued:
+            return np.asarray(self.queued.pop(0), dtype=dtype)
+        return self.rng.integers(lo, hi, size=size, dtype=dtype)
+
+
+def keeps_first_draw(mask_a, mask_b, state_a, state_b):
+    """Whether _admissible_mask_pairs accepts (mask_a, mask_b) as drawn for
+    one sample whose injected words are state_a[:4] and state_b[:4]."""
+    column = lambda words: [[int(w)] for w in words[:4]]
+    dx = np.array(column(state_a), dtype=np.uint32) ^ np.array(column(state_b), dtype=np.uint32)
+    ma, mb = _admissible_mask_pairs(QueuedRng([column(mask_a), column(mask_b)]), dx, 1)
+    assert ((ma ^ mb) != dx).all()
+    return ma[:, 0].tolist() == list(mask_a) and mb[:, 0].tolist() == list(mask_b)
+
+
 class TestInjectionConstraint:
     def test_zero_difference_violates(self):
         state = list(range(16))
         mask = (9, 8, 7, 6)
-        assert check_injection_constraint(mask, mask, state, state) is False
+        assert keeps_first_draw(mask, mask, state, state) is False
 
     def test_partial_difference_still_violates(self):
         state = list(range(16))
         mask_a = (1, 2, 3, 4)
         mask_b = (0, 2, 3, 4)  # positions 1..3 have dq = 0 = dx
-        assert check_injection_constraint(mask_a, mask_b, state, state) is False
+        assert keeps_first_draw(mask_a, mask_b, state, state) is False
 
     def test_all_positions_differ(self):
         state_a = [5, 6, 7, 8] + [0] * 12
         state_b = [0] * 16
-        assert check_injection_constraint((1, 2, 3, 4), (0, 0, 0, 0), state_a, state_b) is True
+        assert keeps_first_draw((1, 2, 3, 4), (0, 0, 0, 0), state_a, state_b) is True
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(8)
+        kept = 0
         for _ in range(50):
-            ma, mb = rng.integers(0, 16, 4), rng.integers(0, 16, 4)
+            ma, mb = rng.integers(0, 16, 4).tolist(), rng.integers(0, 16, 4).tolist()
             sa, sb = rng.integers(0, 16, 16), rng.integers(0, 16, 16)
-            assert check_injection_constraint(ma, mb, sa, sb) == \
-                check_injection_constraint(mb, ma, sb, sa)
+            kept += keeps_first_draw(ma, mb, sa, sb)
+            assert keeps_first_draw(ma, mb, sa, sb) == keeps_first_draw(mb, ma, sb, sa)
+        assert 0 < kept < 50  # both verdicts occur
 
 
 class TestAvalanche:
@@ -186,18 +210,6 @@ class TestDiffProbability:
         assert 0.0 <= est.probability <= 1.0
 
     def test_admissible_mask_rejection(self):
-        class QueuedRng:
-            """Replays queued draws, then defers to a real generator."""
-
-            def __init__(self, queued):
-                self.queued = list(queued)
-                self.rng = np.random.default_rng(18)
-
-            def integers(self, lo, hi, size=None, dtype=None):
-                if self.queued:
-                    return np.asarray(self.queued.pop(0), dtype=dtype)
-                return self.rng.integers(lo, hi, size=size, dtype=dtype)
-
         dx = np.array([[7], [0], [0], [0]], dtype=np.uint32)
         # first draw collides at word 0 (7 ^ 0 == dx), forcing one redraw
         bad_a = [[7], [1], [2], [3]]

@@ -12,7 +12,7 @@ from qrechacha.randtests import tests as stattests
 from qrechacha.randtests.battery import build_plan
 
 RNG = np.random.default_rng(5150)
-PROVIDER = DeterministicProvider(b"battery-tests")
+ORIGIN = DeterministicProvider(b"battery-tests").origin
 
 
 def make_sequences(count, nbits, rng=RNG):
@@ -51,11 +51,11 @@ def test_plan_row_counts():
 
 
 def test_battery_structure_and_pass_on_good_source():
-    report = battery_run(make_sequences(20, 20_000), suite="gmt", provider=PROVIDER)
+    report = battery_run(make_sequences(20, 20_000), suite="gmt", origin=ORIGIN)
     assert report.sequences == 20
     assert report.bits_per_sequence == 20_000
-    assert report.provider_is_quantum is False
-    assert report.provider_identity.startswith("deterministic:")
+    assert report.origin.is_quantum is False
+    assert report.origin.identity.startswith("deterministic:")
     by_id = {line.row_id: line for line in report.lines}
     assert "gmt/poker_m4" in by_id
     for line in report.lines:
@@ -69,7 +69,7 @@ def test_battery_structure_and_pass_on_good_source():
 
 def test_not_applicable_rows_are_reported_not_raised():
     # serial m=16 needs m < log2(n) - 2, impossible for 20k-bit sequences
-    report = battery_run(make_sequences(12, 20_000), suite="nist", provider=PROVIDER)
+    report = battery_run(make_sequences(12, 20_000), suite="nist", origin=ORIGIN)
     by_id = {line.row_id: line for line in report.lines}
     assert not by_id["nist/serial_p1"].applicable
     assert not by_id["nist/serial_p2"].applicable
@@ -80,7 +80,7 @@ def test_not_applicable_rows_are_reported_not_raised():
 
 def test_degenerate_sequences_fail_monobit():
     seqs = [np.zeros(20_000, dtype=np.uint8) for _ in range(12)]
-    report = battery_run(seqs, suite="gmt", provider=PROVIDER)
+    report = battery_run(seqs, suite="gmt", origin=ORIGIN)
     by_id = {line.row_id: line for line in report.lines}
     assert by_id["gmt/frequency"].proportion == 0.0
     assert not report.passed
@@ -89,13 +89,19 @@ def test_degenerate_sequences_fail_monobit():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ParamError):
         battery_run([np.zeros(1000, dtype=np.uint8), np.zeros(999, dtype=np.uint8)],
-                    suite="gmt", provider=PROVIDER)
+                    suite="gmt", origin=ORIGIN)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ParamError):
+        battery_run(make_sequences(2, 1000), suite="gmt", jobs=jobs)
 
 
 def test_mismatched_lengths_rejected_in_parallel():
     seqs = [np.zeros(1000, dtype=np.uint8)] * 6 + [np.zeros(999, dtype=np.uint8)]
     with pytest.raises(ParamError):
-        battery_run(seqs, suite="gmt", provider=PROVIDER, jobs=2)
+        battery_run(seqs, suite="gmt", origin=ORIGIN, jobs=2)
 
 
 def test_parallel_jobs_agree_with_serial():
@@ -103,8 +109,8 @@ def test_parallel_jobs_agree_with_serial():
     # 12 sequences: more than the 2 * jobs in flight, and enough for a
     # uniformity P-value on every row
     seqs = make_sequences(12, 20_001, np.random.default_rng(7))
-    a = battery_run(seqs, suite="both", provider=PROVIDER, jobs=1)
-    b = battery_run(seqs, suite="both", provider=PROVIDER, jobs=2)
+    a = battery_run(seqs, suite="both", origin=ORIGIN, jobs=1)
+    b = battery_run(seqs, suite="both", origin=ORIGIN, jobs=2)
     assert a.bits_per_sequence == b.bits_per_sequence == 20_001
     assert [line.row_id for line in a.lines] == [line.row_id for line in b.lines]
     assert a.lines == b.lines
@@ -159,9 +165,9 @@ def test_both_suites_equal_each_suite_alone():
     # rows the two suites share read one run of their call; every value
     # must equal what each suite computes on its own
     seqs = make_sequences(12, 20_001, np.random.default_rng(8))
-    both = battery_run(seqs, suite="both", provider=PROVIDER)
-    nist = battery_run(seqs, suite="nist", provider=PROVIDER)
-    gmt = battery_run(seqs, suite="gmt", provider=PROVIDER)
+    both = battery_run(seqs, suite="both", origin=ORIGIN)
+    nist = battery_run(seqs, suite="nist", origin=ORIGIN)
+    gmt = battery_run(seqs, suite="gmt", origin=ORIGIN)
     assert both.lines == nist.lines + gmt.lines
 
 
@@ -173,16 +179,16 @@ def test_each_distinct_call_runs_once_per_sequence(monkeypatch, suite, calls):
         monkeypatch.setattr(stattests, name,
                             lambda *a, _fn=fn, _name=name, **kw: made.append(_name) or _fn(*a, **kw))
     bits = np.random.default_rng(9).integers(0, 2, 1_000_000, dtype=np.uint8)
-    report = battery_run([bits], suite=suite, provider=PROVIDER)
+    report = battery_run([bits], suite=suite, origin=ORIGIN)
     assert all(line.applicable for line in report.lines)
     assert len(made) == calls
 
 
 def test_report_emissions():
-    report = battery_run(make_sequences(10, 20_000), suite="gmt", provider=PROVIDER)
+    report = battery_run(make_sequences(10, 20_000), suite="gmt", origin=ORIGIN)
     doc = json.loads(report.to_json())
     assert doc["kind"] == "battery"
-    assert doc["provider"] == {"identity": PROVIDER.identity, "is_quantum": False}
+    assert doc["provider"] == {"identity": ORIGIN.identity, "is_quantum": False}
     assert {"test_id", "pass_count", "total", "proportion", "interval", "uniformity_p"} <= set(
         doc["results"][0])
     csv = report.to_csv()

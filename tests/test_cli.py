@@ -11,7 +11,7 @@ import pytest
 
 from qrechacha import CipherParams, vector, xor_stream
 from qrechacha.cli import main
-from qrechacha.qrn import QrnPool
+from qrechacha.qrn import DeterministicProvider, QrnPool
 from qrechacha.randtests import battery_run, bits_from_bytes
 
 SEED = "aa" * 32
@@ -185,13 +185,15 @@ class TestKeystream:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["keys"]) == 2
 
-    def test_quantum_flag_needs_material(self, tmp_path):
-        out = tmp_path / "ks"
-        assert run_cli("keystream", "--bits", 256, "--seed", SEED, "--quantum",
-                       "--out-dir", out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["material"]["source"] == "seed-derived"
-        assert manifest["material"]["is_quantum"] is False
+    @pytest.mark.parametrize("argv", [
+        ("keystream", "--bits", 256, "--seed", SEED, "--quantum", "--out-dir", "ks"),
+        ("test", "--sequences", 2, "--bits", 1000, "--seed", "00", "--quantum"),
+        ("material", "derive", "--seed", "00", "--rounds", 8, "--non-quantum", "--out", "m.bin"),
+    ])
+    def test_quantum_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
 
 class TestQrnCommands:
@@ -230,22 +232,24 @@ class TestQrnCommands:
         pool_path = tmp_path / "p.qrnp"
         assert run_cli("qrn", "init", "--bytes", 4000, "--seed", "aa", "--out", pool_path) == 0
         pool = QrnPool(pool_path)
-        assert pool.is_quantum is False
+        assert pool.origin.is_quantum is False
         report = battery_run([bits_from_bytes(pool.take(2000), 16_000)], suite="gmt",
-                             provider=pool)
-        assert report.provider_is_quantum is False
+                             origin=pool.origin)
+        assert report.origin.is_quantum is False
         assert run_cli("material", "derive", "--pool", pool_path, "--rounds", 8,
                        "--out", tmp_path / "m.bin") == 0
         assert "(non-quantum)" in capsys.readouterr().out
 
-    def test_non_quantum_flag_only_lowers(self, tmp_path, capsys):
-        pool_path = tmp_path / "q.qrnp"
-        QrnPool.create(pool_path, bytes(1000), is_quantum=True)
-        for extra, kind in (((), "(quantum)"), (("--non-quantum",), "(non-quantum)")):
-            assert run_cli("material", "derive", "--pool", pool_path, "--rounds", 8,
-                           *extra, "--out", tmp_path / "m.bin") == 0
-            assert kind in capsys.readouterr().out
-        assert QrnPool(pool_path).is_quantum is True
+    def test_secret_files_are_owner_only(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run_cli("qrn", "init", "--bytes", 1000, "--out", tmp_path / "p.qrnp") == 0
+            assert run_cli("material", "derive", "--pool", tmp_path / "p.qrnp", "--rounds", 8,
+                           "--out", tmp_path / "m.bin") == 0
+        finally:
+            os.umask(old)
+        for name in ("p.qrnp", "m.bin"):
+            assert (tmp_path / name).stat().st_mode & 0o077 == 0, name
 
     def test_pool_exhausted_exit_code(self, tmp_path):
         pool_path = tmp_path / "p.qrnp"
@@ -267,6 +271,17 @@ class TestBattery:
         assert doc["passed"] is True
         assert len(doc["results"]) == 27
 
+    def test_report_written_before_a_broken_pipe(self, tmp_path, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        report = tmp_path / "r.json"
+        assert run_cli("test", "--seed", "00", "--sequences", 2, "--bits", 20_000,
+                       "--suite", "nist", "--report", report) == 3
+        assert json.loads(report.read_text())["kind"] == "battery"
+
     def test_constant_input_fails_with_exit_5(self, tmp_path):
         seqdir = tmp_path / "seqs"
         seqdir.mkdir()
@@ -275,6 +290,48 @@ class TestBattery:
         code = run_cli("test", "--suite", "gmt", "--bits", 300_000,
                        "--input-dir", seqdir)
         assert code == 5
+
+
+class TestProvenance:
+    """Whether output is quantum follows the recorded origin of its bytes."""
+
+    ARGS = ("--sequences", 10, "--bits", 20_000, "--suite", "gmt", "--seed", SEED)
+
+    def battery_origin(self, tmp_path, *argv):
+        report = tmp_path / "r.json"
+        assert run_cli("test", *argv, "--report", report) == 0
+        return json.loads(report.read_text())["provider"]
+
+    def test_seed_derived_material_is_not_quantum(self, tmp_path):
+        material = tmp_path / "m.bin"
+        assert run_cli("material", "derive", "--seed", "00", "--rounds", 8,
+                       "--out", material) == 0
+        provider = self.battery_origin(tmp_path, *self.ARGS, "--material", material)
+        assert provider == {"identity": str(material), "is_quantum": False}
+        assert run_cli("keystream", "--bits", 256, "--seed", SEED, "--material", material,
+                       "--out-dir", tmp_path / "ks") == 0
+        manifest = json.loads((tmp_path / "ks" / "manifest.json").read_text())
+        assert manifest["material"]["is_quantum"] is False
+
+    def test_quantum_pool_material_stays_quantum(self, tmp_path):
+        pool = tmp_path / "q.qrnp"
+        QrnPool.create(pool, DeterministicProvider(b"q").take(1000), is_quantum=True)
+        material = tmp_path / "m.bin"
+        assert run_cli("material", "derive", "--pool", pool, "--rounds", 8,
+                       "--out", material) == 0
+        provider = self.battery_origin(tmp_path, *self.ARGS, "--material", material)
+        assert provider == {"identity": str(material), "is_quantum": True}
+
+        corpus = tmp_path / "ks"
+        assert run_cli("keystream", "--count", 10, "--bits", 20_000, "--seed", SEED,
+                       "--material", material, "--out-dir", corpus) == 0
+        manifest = json.loads((corpus / "manifest.json").read_text())["material"]
+        assert (manifest["source"], manifest["is_quantum"]) == (str(material), True)
+        args = ("--bits", 20_000, "--suite", "gmt", "--input-dir", corpus)
+        assert self.battery_origin(tmp_path, *args)["is_quantum"] is True
+        (corpus / "manifest.json").unlink()
+        assert self.battery_origin(tmp_path, *args) == {
+            "identity": f"files:{corpus}", "is_quantum": False}
 
 
 class TestAnalysisCommands:
@@ -346,6 +403,8 @@ class TestMalformedFlagValues:
         ("test", "--sequences", 2, "--bits", 1000, "--seed", "00", "--alpha", -1),
         ("avalanche", "--trials", 1000, "--rng-seed", -1),
         ("diffprob", "--rounds", 2, "--input-diff", DIFF, "--output-diff", DIFF, "--rng-seed", -1),
+        ("test", "--sequences", 2, "--bits", 1000, "--seed", "00", "--jobs", 0),
+        ("test", "--sequences", 2, "--bits", 1000, "--seed", "00", "--jobs", -1),
     ])
     def test_exit_code_2(self, tmp_path, argv):
         assert run_cli(*(str(a).format(tmp=tmp_path) for a in argv)) == 2

@@ -15,17 +15,19 @@ from qrechacha import (
     IoFailure,
     MalformedMaterial,
     NetworkFailure,
+    Origin,
     ParamError,
     PoolExhausted,
     QrnPool,
     QrnSessionMaterial,
-    RemoteProvider,
     ShortResponse,
     derive_session,
     fetch_remote,
     material_bytes_needed,
+    read_material,
     session_parse,
     session_serialize,
+    write_material,
 )
 from qrechacha.qrn import BODY_BYTES_PER_BYTE
 
@@ -64,17 +66,28 @@ class TestPool:
         assert pool.cursor_bytes == 3
         assert pool.take(2) == bytes([3, 4])
         # version 1 never recorded its source, so it cannot claim quantum
-        assert pool.is_quantum is False
+        assert pool.origin == Origin("pool:h.qrnp", False)
 
-    def test_quantum_flag_persists_and_only_lowers(self, tmp_path):
+    def test_quantum_flag_persists(self, tmp_path):
         for quantum in (False, True):
             path = tmp_path / f"{quantum}.qrnp"
-            assert QrnPool.create(path, bytes(64), is_quantum=quantum).is_quantum is quantum
-            assert QrnPool(path).is_quantum is quantum
-            pool = QrnPool(path, is_quantum=False)
-            pool.take(16)  # re-reading the header keeps the handle's downgrade
-            assert pool.is_quantum is False
-        assert QrnPool.create(tmp_path / "d.qrnp", bytes(64)).is_quantum is False
+            assert QrnPool.create(path, bytes(64), is_quantum=quantum).origin.is_quantum is quantum
+            pool = QrnPool(path)
+            assert pool.origin == Origin(f"pool:{quantum}.qrnp", quantum)
+            pool.take(16)  # re-reading the header keeps the flag
+            assert pool.origin.is_quantum is quantum
+        assert QrnPool.create(tmp_path / "d.qrnp", bytes(64)).origin.is_quantum is False
+
+    def test_created_owner_only(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            path = tmp_path / "p.qrnp"
+            path.write_bytes(b"old")
+            path.chmod(0o644)  # recreating over a readable file narrows it too
+            QrnPool.create(path, bytes(64))
+            assert path.stat().st_mode & 0o077 == 0
+        finally:
+            os.umask(old)
 
     def test_bad_version_headers(self, tmp_path):
         truncated_v2 = b"QRNP" + struct.pack("<HQQ", 2, 4, 0) + b"\x01"
@@ -154,8 +167,8 @@ class TestDeterministicProvider:
 
     def test_flags(self):
         p = DeterministicProvider(b"seed")
-        assert p.is_quantum is False
-        assert p.identity.startswith("deterministic:")
+        assert p.origin.is_quantum is False
+        assert p.origin.identity.startswith("deterministic:")
 
     def test_distinct_seeds_differ(self):
         assert DeterministicProvider(b"a").take(32) != DeterministicProvider(b"b").take(32)
@@ -211,19 +224,11 @@ class TestFetchRemote:
         _StubHandler.body = bytes(32)
         assert len(fetch_remote(stub_server + "?n={nbytes}", 32)) == 32
 
-    def test_remote_provider_flags(self, stub_server):
-        _StubHandler.body = bytes(8)
-        provider = RemoteProvider(stub_server)
-        assert provider.is_quantum is True
-        assert provider.take(8) == bytes(8)
-
     def test_only_http_schemes(self, tmp_path):
         (tmp_path / "local").write_bytes(bytes(64))
         for url in ((tmp_path / "local").as_uri(), "data:,abcdef", "ftp://127.0.0.1:9/qrn"):
             with pytest.raises(ParamError):
                 fetch_remote(url, 3)
-        with pytest.raises(ParamError):
-            RemoteProvider("data:,abcdef").take(3)
 
     def test_body_read_is_bounded(self, stub_server):
         # hex digits fill the read bound exactly; the garbage after them is
@@ -263,6 +268,15 @@ class TestDeriveSession:
         with pytest.raises(ParamError):
             derive_session(DeterministicProvider(b"s"), 7)
 
+    def test_material_carries_the_source_origin(self, tmp_path):
+        pool = QrnPool.create(tmp_path / "q.qrnp", bytes(range(80)), is_quantum=True)
+        mat = derive_session(pool, 8)
+        assert mat.origin == Origin("pool:q.qrnp", True)
+        # the origin takes no part in equality, so the masks compare as before
+        assert mat == session_parse(struct.pack("<HH", 1, 8) + bytes(range(80)))
+        provider = DeterministicProvider(b"s")
+        assert derive_session(provider, 8).origin == provider.origin
+
 
 class TestSessionSerialization:
     def test_roundtrip_presets(self):
@@ -297,3 +311,40 @@ class TestSessionSerialization:
         bad = struct.pack("<HH", 9, 8) + bytes(80)
         with pytest.raises(MalformedMaterial):
             session_parse(bad)
+
+
+class TestMaterialFile:
+    def test_layout_is_serialization_plus_flags_trailer(self, tmp_path):
+        for quantum in (False, True):
+            pool = QrnPool.create(tmp_path / "p.qrnp", bytes(range(80)), is_quantum=quantum)
+            mat = derive_session(pool, 8)
+            write_material(tmp_path / "m.bin", mat)
+            raw = (tmp_path / "m.bin").read_bytes()
+            assert raw == session_serialize(mat) + int(quantum).to_bytes(2, "little")
+            back = read_material(tmp_path / "m.bin")
+            assert back == mat
+            assert back.origin == Origin(str(tmp_path / "m.bin"), quantum)
+
+    def test_file_without_trailer_is_non_quantum(self, tmp_path):
+        mat = derive_session(DeterministicProvider(b"m"), 8)
+        (tmp_path / "old.bin").write_bytes(session_serialize(mat))
+        back = read_material(tmp_path / "old.bin")
+        assert back == mat
+        assert back.origin.is_quantum is False
+
+    def test_truncated_file_is_malformed(self, tmp_path):
+        mat = derive_session(DeterministicProvider(b"m"), 8)
+        write_material(tmp_path / "m.bin", mat)
+        raw = (tmp_path / "m.bin").read_bytes()
+        for cut in (1, 3):
+            (tmp_path / "cut.bin").write_bytes(raw[:-cut])
+            with pytest.raises(MalformedMaterial):
+                read_material(tmp_path / "cut.bin")
+
+    def test_written_owner_only(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            write_material(tmp_path / "m.bin", QrnSessionMaterial.zero(8))
+            assert (tmp_path / "m.bin").stat().st_mode & 0o077 == 0
+        finally:
+            os.umask(old)
