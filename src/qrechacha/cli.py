@@ -4,11 +4,13 @@ Subcommands: encrypt, decrypt, keystream, qrn fetch|init|status,
 material derive, test, avalanche, diffprob, bench.
 
 Secrets travel through files or environment variables, never flag values.
+Ciphertext, --report, pools, material and corpus manifests are written
+through `files`, so each replaces its path only when complete.
 Reports print as text; --report writes .json/.txt by extension (.csv too
-for test and bench) before the text prints, so a closed stdout loses no
-report.  Whether material or sequences are quantum is read from where they
-came from (pool header, material file trailer, corpus manifest); no flag
-sets it.
+for test and bench) before the text prints, and a reader that closes stdout
+early does not change the exit code.  Whether material or sequences are
+quantum is read from where they came from (pool header, material file
+trailer, corpus manifest); no flag sets it.
 Exit codes: 0 success, 2 usage, 3 I/O or transport, 4 pool exhausted,
 5 verification/test failure.
 """
@@ -18,14 +20,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
-import secrets
 import stat
 import sys
 from pathlib import Path
 
-from . import analysis, bench, generate, qrn, vector
+from . import analysis, bench, files, generate, qrn, vector
 from .cipher import (
     BLOCK_BYTES,
     CipherParams,
@@ -38,26 +38,6 @@ from .cipher import (
 from .errors import IoFailure, ParamError, QreChachaError, VerificationFailure
 from .randtests.battery import SUITES, battery_run
 from .randtests.bits import bits_from_bytes
-
-
-def _read(path) -> bytes:
-    if str(path) == "-":
-        return sys.stdin.buffer.read()
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-
-def _write(path, data: bytes) -> None:
-    if str(path) == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-        return
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _parse(convert, text: str, flag: str):
@@ -74,16 +54,24 @@ def _load_material(args):
 
 def _emit_report(args, obj) -> None:
     """--report writes csv (tabular reports), text or json; then the text
-    form prints."""
+    form prints.  A reader that leaves early (`| head`) loses only text it
+    did not want, so the command keeps its own exit code."""
     if args.report is not None:
         suffix = Path(args.report).suffix.lower()
         if suffix == ".csv" and hasattr(obj, "to_csv"):
-            _write(args.report, obj.to_csv().encode())
+            text = obj.to_csv()
         elif suffix in (".txt", ".text"):
-            _write(args.report, (obj.to_text() + "\n").encode())
+            text = obj.to_text() + "\n"
         else:
-            _write(args.report, (obj.to_json() + "\n").encode())
-    print(obj.to_text())
+            text = obj.to_json() + "\n"
+        files.write(args.report, text.encode())
+    try:
+        print(obj.to_text(), flush=True)
+    except BrokenPipeError:
+        # stdout's unflushed text would fail again at exit
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def _open_input(path):
@@ -95,6 +83,11 @@ def _open_input(path):
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
+def _read(path) -> bytes:
+    with _open_input(path) as fh:
+        return fh.read()
+
+
 def _regular_size(fh):
     """Byte size of a regular file behind fh, else None (pipes, terminals)."""
     try:
@@ -102,41 +95,6 @@ def _regular_size(fh):
     except (OSError, ValueError):
         return None
     return st.st_size if stat.S_ISREG(st.st_mode) else None
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """Yield a binary handle whose bytes become path only if the block
-    completes: they go to a sibling temporary file that os.replace renames
-    over path (a symlink's target, not the link), so infile == outfile
-    works and a failure leaves no partial output.  '-' (stdout), devices
-    and FIFOs are written as it goes: there is no file to replace."""
-    if str(path) == "-":
-        yield sys.stdout.buffer
-        sys.stdout.buffer.flush()
-        return
-    path = Path(os.path.realpath(path))
-    direct = path.exists() and not path.is_file()
-    tmp = path if direct else path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    try:
-        fh = open(tmp, "wb" if direct else "xb")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    if direct:
-        with fh:
-            yield fh
-        return
-    try:
-        with fh:
-            if path.exists():  # the replacement keeps the old file's permission bits
-                os.fchmod(fh.fileno(), stat.S_IMODE(path.stat().st_mode))
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def cmd_crypt(args) -> int:
@@ -149,7 +107,7 @@ def cmd_crypt(args) -> int:
         size = _regular_size(src)
         if size is not None:
             check_counter_span(params.counter, blocks_needed(size))
-        with _replacing(args.outfile) as dst:
+        with files.replacing(args.outfile) as dst:
             done = 0  # blocks written so far; every piece but the last is whole blocks
             # a buffered read returns `piece` bytes unless the input ends
             while data := src.read(piece):
@@ -163,8 +121,7 @@ def cmd_crypt(args) -> int:
 def cmd_keystream(args) -> int:
     seed = _parse(bytes.fromhex, args.seed, "--seed") if args.seed else os.urandom(32)
     spec = generate.CorpusSpec(seed, args.count, args.bits, args.rounds, args.counter)
-    manifest = generate.write_corpus(spec, args.out_dir, _load_material(args),
-                                     debug_keys=args.debug_keys)
+    manifest = generate.write_corpus(spec, args.out_dir, _load_material(args))
     print(f"wrote {spec.count} sequence(s) of {spec.bits} bits under {args.out_dir}")
     print(f"manifest: {manifest}")
     return 0
@@ -265,10 +222,7 @@ def cmd_avalanche(args) -> int:
 
 
 def _parse_diff(text: str, flag: str) -> tuple[int, ...]:
-    words = tuple(_parse(lambda w: int(w, 16), w, flag) for w in text.replace(",", " ").split())
-    if len(words) != 16:
-        raise ParamError(f"difference needs 16 hex words, got {len(words)}")
-    return words
+    return tuple(_parse(lambda w: int(w, 16), w, flag) for w in text.replace(",", " ").split())
 
 
 def cmd_diffprob(args) -> int:
@@ -289,8 +243,6 @@ def cmd_bench(args) -> int:
     configs = []
     for spec in args.ciphers.split(","):
         name, _, rounds = spec.partition(":")
-        if name not in bench.CIPHERS:
-            raise ParamError(f"unknown cipher {name!r}")
         configs.append((name, _parse(int, rounds, "--ciphers") if rounds else 8))
     sizes = [_parse(float, s, "--sizes") for s in args.sizes.split(",")]
     results = bench.run_sweep(configs, sizes, args.reps)
@@ -331,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", help="hex generation seed (random when omitted)")
     p.add_argument("--material", help="session material file (else derived from seed); "
                    "the manifest records its source and quantum flag")
-    p.add_argument("--debug-keys", action="store_true",
-                   help="record per-sequence keys in the manifest (debug only)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_keystream)
 

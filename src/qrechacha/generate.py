@@ -3,9 +3,10 @@
 A corpus is N keystream sequences of L bits, one fresh key per sequence,
 zero nonce, shared session material.  Keys come from a recorded seed
 (SHA-256 of seed || index), so a manifest with the seed replays the exact
-corpus; individual keys are not written out unless debugging demands it.
+corpus and `key_for_index` recomputes any key; keys are never written out.
 The manifest also records the material's origin, which `test --input-dir`
-copies into its report.
+copies into its report.  It is written last, through `files`, so it only
+appears complete and after every sequence file.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import files
 from .cipher import BLOCK_BYTES, CipherParams, Origin, QrnSessionMaterial
 from .errors import IoFailure, ParamError
 from .qrn import DeterministicProvider, derive_session, session_serialize
@@ -68,9 +70,8 @@ def iter_sequences(spec: CorpusSpec, material: QrnSessionMaterial | None = None)
         yield keystream_bytes(params, material, nbytes)
 
 
-def manifest_dict(spec: CorpusSpec, material: QrnSessionMaterial,
-                  debug_keys: bool = False) -> dict:
-    manifest = {
+def manifest_dict(spec: CorpusSpec, material: QrnSessionMaterial) -> dict:
+    return {
         "version": MANIFEST_VERSION,
         "seed": spec.seed.hex(),
         "count": spec.count,
@@ -86,14 +87,9 @@ def manifest_dict(spec: CorpusSpec, material: QrnSessionMaterial,
         },
         "bit_order": "msb-first within each byte",
     }
-    if debug_keys:
-        # plaintext key dump; only for debugging generation issues
-        manifest["keys"] = [key_for_index(spec.seed, i).hex() for i in range(spec.count)]
-    return manifest
 
 
-def write_corpus(spec: CorpusSpec, outdir, material: QrnSessionMaterial | None = None,
-                 debug_keys: bool = False) -> Path:
+def write_corpus(spec: CorpusSpec, outdir, material: QrnSessionMaterial | None = None) -> Path:
     """Write seq_NNNNN.bits files plus the manifest; returns the manifest path."""
     outdir = Path(outdir)
     if material is None:
@@ -102,10 +98,10 @@ def write_corpus(spec: CorpusSpec, outdir, material: QrnSessionMaterial | None =
         outdir.mkdir(parents=True, exist_ok=True)
         for i, data in enumerate(iter_sequences(spec, material)):
             (outdir / f"seq_{i:05d}.bits").write_bytes(data)
-        manifest_path = outdir / MANIFEST_NAME
-        manifest_path.write_text(json.dumps(manifest_dict(spec, material, debug_keys), indent=2))
     except OSError as exc:
         raise IoFailure(f"cannot write corpus under {outdir}: {exc}") from exc
+    manifest_path = outdir / MANIFEST_NAME
+    files.write(manifest_path, json.dumps(manifest_dict(spec, material), indent=2).encode())
     return manifest_path
 
 

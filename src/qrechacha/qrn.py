@@ -31,8 +31,9 @@ Material file layout (little-endian):
   last 2      flags trailer, FLAG_QUANTUM as in the pool header
 Files without the trailer read as non-quantum, like version 1 pools.
 
-Pools and material files are created owner-only (0600): pool bytes become
-masks and material is key-equivalent.
+Pools and material files are owner-only (0600) from their first byte and
+replace their path only once complete and synced (see `files`): pool bytes
+become masks and material is key-equivalent.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import urllib.request
 from dataclasses import replace
 from pathlib import Path
 
+from . import files
 from .cipher import Origin, QrnSessionMaterial, _check_rounds
 from .errors import (
     DecodeError,
@@ -81,18 +83,6 @@ def material_bytes_needed(rounds: int) -> int:
     return MASK_BYTES * (1 + _check_rounds(rounds) // 2)
 
 
-def _write_secret(path, what: str, *parts: bytes) -> None:
-    """Write parts in order to an owner-only (0600) file and sync it to disk."""
-    try:
-        with open(path, "wb", opener=lambda p, flags: os.open(p, flags, 0o600)) as fh:
-            os.fchmod(fh.fileno(), 0o600)  # an existing file keeps its old mode otherwise
-            fh.writelines(parts)
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
-
-
 class QrnPool:
     """File-backed entropy pool with a never-rewinding consumption cursor.
 
@@ -115,12 +105,15 @@ class QrnPool:
     @classmethod
     def create(cls, path, data: bytes, is_quantum: bool = False) -> "QrnPool":
         """Write a new owner-only pool holding data, recording is_quantum in
-        its header."""
+        its header.  It replaces path only once complete, and is reopened by
+        path, so '-' is refused."""
         if not data:
             raise ParamError("pool payload must be nonempty")
+        if str(path) == "-":
+            raise ParamError("a pool must be written to a file, not '-'")
         header = _POOL_HEADER.pack(POOL_MAGIC, POOL_VERSION, len(data), 0)
         flags = _FLAGS.pack(FLAG_QUANTUM if is_quantum else 0)
-        _write_secret(path, "pool", header, flags, data)
+        files.write(path, header, flags, data, mode=0o600)
         return cls(path)
 
     def _read_header(self) -> None:
@@ -310,4 +303,4 @@ def read_material(path) -> QrnSessionMaterial:
 def write_material(path, material: QrnSessionMaterial) -> None:
     """session_serialize bytes plus the flags trailer, owner-only."""
     flags = _FLAGS.pack(FLAG_QUANTUM if material.origin.is_quantum else 0)
-    _write_secret(path, "material", session_serialize(material), flags)
+    files.write(path, session_serialize(material), flags, mode=0o600)

@@ -58,18 +58,6 @@ class TestResult:
     def passed(self) -> bool:
         return self.p_value >= self.alpha
 
-    def to_dict(self) -> dict:
-        return {
-            "test_id": self.test_id,
-            "params": dict(self.params),
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "pass": self.passed,
-            "applicable": self.applicable,
-            "note": self.note,
-        }
-
 
 def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
@@ -179,9 +167,16 @@ def runs(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
     return TestResult("runs", {"n": n, "pi": pi}, float(v), p, alpha)
 
 
-def _block_longest_ones(block: np.ndarray) -> int:
-    zpos = np.flatnonzero(np.concatenate(([0], block, [0])) == 0)
-    return int((np.diff(zpos) - 1).max())
+def _longest_ones(blocks: np.ndarray) -> np.ndarray:
+    """Longest run of ones in each row of a 2-D 0/1 array."""
+    nblocks, m = blocks.shape
+    # a zero before every row and one after the last: each gap between
+    # consecutive zeros, less one, is a run of ones inside one row
+    flat = np.zeros(nblocks * (m + 1) + 1, dtype=blocks.dtype)
+    flat[:-1].reshape(nblocks, m + 1)[:, 1:] = blocks
+    zeros = np.flatnonzero(flat == 0)
+    gaps = zeros[1:] - zeros[:-1]
+    return np.maximum.reduceat(gaps, np.searchsorted(zeros, np.arange(nblocks) * (m + 1))) - 1
 
 
 def longest_run_of_ones(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
@@ -199,9 +194,11 @@ def longest_run_of_ones(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
             break
     nblocks = n // m
     blocks = bits[: nblocks * m].reshape(nblocks, m)
-    longest = np.fromiter(
-        (_block_longest_ones(blocks[i]) for i in range(nblocks)), dtype=np.int64, count=nblocks
-    )
+    # groups of about 2**16 bits: in one pass over 10**6 bits the int64
+    # temporaries (about 10 MB) landed on freshly mapped pages, which made
+    # the call slower inside the battery than a loop over single blocks
+    rows = max(1, 2**16 // m)
+    longest = np.concatenate([_longest_ones(blocks[i : i + rows]) for i in range(0, nblocks, rows)])
     classes = np.clip(longest, lo, hi) - lo
     nu = np.bincount(classes, minlength=hi - lo + 1).astype(np.float64)
     expected = nblocks * np.asarray(pi)

@@ -140,6 +140,13 @@ _LONGEST_TABLES = (
 
 
 def oracle_longest_run(bits) -> float:
+    chi, classes = oracle_longest_run_chi(bits)
+    return oracle_igamc((classes - 1) / 2, chi / 2)
+
+
+def oracle_longest_run_chi(bits) -> tuple[float, int]:
+    """Chi-squared statistic of the longest-run class counts, and the
+    number of classes."""
     n = len(bits)
     for min_n, m, lo, hi, pi in _LONGEST_TABLES:
         if n >= min_n:
@@ -155,7 +162,7 @@ def oracle_longest_run(bits) -> float:
     chi = sum(
         (c - nblocks * p) ** 2 / (nblocks * p) for c, p in zip(counts, pi)
     )
-    return oracle_igamc((len(pi) - 1) / 2, chi / 2)
+    return chi, len(pi)
 
 
 def oracle_cusum(bits, backward=False) -> float:

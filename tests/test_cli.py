@@ -3,12 +3,15 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 import threading
 import types
+from pathlib import Path
 
 import pytest
 
+import qrechacha
 from qrechacha import CipherParams, vector, xor_stream
 from qrechacha.cli import main
 from qrechacha.qrn import DeterministicProvider, QrnPool
@@ -26,6 +29,17 @@ def keydir(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: text and bytes writes both fail."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    @property
+    def buffer(self):
+        return self
 
 
 class TestEncryptDecrypt:
@@ -178,12 +192,13 @@ class TestKeystream:
         assert manifest["count"] == 3
         assert "keys" not in manifest
 
-    def test_debug_keys_flag(self, tmp_path):
-        out = tmp_path / "ks"
-        assert run_cli("keystream", "--count", 2, "--bits", 256, "--seed", SEED,
-                       "--debug-keys", "--out-dir", out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert len(manifest["keys"]) == 2
+    def test_debug_keys_flag_is_gone(self, tmp_path):
+        # the manifest's seed and key_derivation already replay every key
+        with pytest.raises(SystemExit) as exc:
+            run_cli("keystream", "--count", 2, "--bits", 256, "--seed", SEED,
+                    "--debug-keys", "--out-dir", tmp_path / "ks")
+        assert exc.value.code == 2
+        assert not (tmp_path / "ks").exists()
 
     @pytest.mark.parametrize("argv", [
         ("keystream", "--bits", 256, "--seed", SEED, "--quantum", "--out-dir", "ks"),
@@ -251,11 +266,19 @@ class TestQrnCommands:
         for name in ("p.qrnp", "m.bin"):
             assert (tmp_path / name).stat().st_mode & 0o077 == 0, name
 
+    def test_pool_to_stdout_is_a_usage_error(self, capsys):
+        assert run_cli("qrn", "init", "--bytes", 16, "--out", "-") == 2
+        assert capsys.readouterr().out == ""
+
     def test_pool_exhausted_exit_code(self, tmp_path):
         pool_path = tmp_path / "p.qrnp"
         run_cli("qrn", "init", "--bytes", 16, "--out", pool_path)
         assert run_cli("material", "derive", "--pool", pool_path, "--rounds", 8,
                        "--out", tmp_path / "m.bin") == 4
+
+
+# every row applicable at this size, and the battery passes
+PASSING_BATTERY = ("--sequences", 10, "--bits", 20_000, "--suite", "gmt", "--seed", SEED)
 
 
 class TestBattery:
@@ -271,16 +294,58 @@ class TestBattery:
         assert doc["passed"] is True
         assert len(doc["results"]) == 27
 
-    def test_report_written_before_a_broken_pipe(self, tmp_path, monkeypatch):
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
+    def test_report_written_before_a_broken_pipe(self, tmp_path, monkeypatch, capsys):
+        # `| head -1`: the reader leaving loses only text it did not want
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         report = tmp_path / "r.json"
-        assert run_cli("test", "--seed", "00", "--sequences", 2, "--bits", 20_000,
-                       "--suite", "nist", "--report", report) == 3
+        assert run_cli("test", *PASSING_BATTERY, "--report", report) == 0
         assert json.loads(report.read_text())["kind"] == "battery"
+        assert capsys.readouterr().err == ""
+
+    def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        report = tmp_path / "r.json"
+        report.write_text("old")
+
+        def failing_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        assert run_cli("test", *PASSING_BATTERY, "--report", report) == 3
+        assert report.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_failed_battery_keeps_exit_5_on_a_broken_pipe(self, tmp_path, monkeypatch, capsys):
+        seqdir = tmp_path / "seqs"
+        seqdir.mkdir()
+        for i in range(10):
+            (seqdir / f"seq_{i:05d}.bits").write_bytes(bytes(37_500))
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        report = tmp_path / "r.json"
+        assert run_cli("test", "--suite", "gmt", "--bits", 300_000, "--input-dir", seqdir,
+                       "--report", report) == 5
+        assert json.loads(report.read_text())["passed"] is False
+        assert "i/o error" not in capsys.readouterr().err
+
+    def test_report_to_a_broken_pipe_is_an_io_failure(self, monkeypatch):
+        # --report - is output that was asked for, so losing it is exit 3
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run_cli("test", *PASSING_BATTERY, "--report", "-") == 3
+
+    def test_closed_stdout_of_a_real_process(self, tmp_path):
+        # the text left in stdout's buffer must not fail again at exit
+        src = str(Path(qrechacha.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qrechacha.cli", "test", *map(str, PASSING_BATTERY),
+                 "--report", str(tmp_path / "r.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (tmp_path / "r.json").exists()
 
     def test_constant_input_fails_with_exit_5(self, tmp_path):
         seqdir = tmp_path / "seqs"
@@ -295,7 +360,7 @@ class TestBattery:
 class TestProvenance:
     """Whether output is quantum follows the recorded origin of its bytes."""
 
-    ARGS = ("--sequences", 10, "--bits", 20_000, "--suite", "gmt", "--seed", SEED)
+    ARGS = PASSING_BATTERY
 
     def battery_origin(self, tmp_path, *argv):
         report = tmp_path / "r.json"

@@ -117,6 +117,21 @@ class TestLongestRun:
         got = longest_run_of_ones(MEGABIT).p_value
         assert abs(got - oracles.oracle_longest_run(MEGABIT_LIST)) < 1e-6
 
+    @pytest.mark.parametrize("n", [128, 1000, 6272, 20_003, 750_000])
+    @pytest.mark.parametrize("kind", ["random", "ones", "zeros", "short_runs", "long_runs"])
+    def test_class_counts_match_oracle(self, n, kind):
+        # every block table (M = 8, 128, 10000), full and empty blocks, and
+        # runs of ones that cross block edges, shorter and longer than a block
+        bits = {
+            "random": RNG.integers(0, 2, n, dtype=np.uint8),
+            "ones": np.ones(n, dtype=np.uint8),
+            "zeros": np.zeros(n, dtype=np.uint8),
+            "short_runs": (np.arange(n) % 13 != 5).astype(np.uint8),
+            "long_runs": (np.arange(n) % 10_007 != 0).astype(np.uint8),
+        }[kind]
+        chi, _ = oracles.oracle_longest_run_chi(bits.tolist())
+        assert longest_run_of_ones(bits).statistic == pytest.approx(chi, rel=1e-12, abs=1e-12)
+
     def test_zeros_variant_via_complement(self):
         bits = RNG.integers(0, 2, 20_000, dtype=np.uint8)
         got = longest_run_of_ones(complement(bits)).p_value
