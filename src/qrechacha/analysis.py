@@ -95,22 +95,27 @@ def avalanche_metric(
     rng = _generator(rng)
     column, masks = vector.prepare(params, material)
 
-    flips = np.zeros((16, 32), dtype=np.int64)
+    # histogram of the output difference bytes by (word, byte, value); the
+    # bit table turns it into per-bit flip counts once, at the end
+    bins = (1024 * np.arange(16)[:, None, None] + 256 * np.arange(4)).astype(np.intp)
+    hist = np.zeros(16 * 4 * 256, dtype=np.int64)
     done = 0
     while done < trials:
         batch = min(4096, trials - done)
-        x0 = np.repeat(column, batch, axis=1)
-        x0[4:12] = rng.integers(0, 1 << 32, size=(8, batch), dtype=np.uint32)
-        x0[13:16] = rng.integers(0, 1 << 32, size=(3, batch), dtype=np.uint32)
-        x1 = x0.copy()
-        x1[row] ^= flip
-        za = vector.feedforward(x0, params.rounds, masks)
-        zb = vector.feedforward(x1, params.rounds, masks)
-        diff = za ^ zb
-        for j in range(32):
-            flips[:, j] += ((diff >> np.uint32(j)) & np.uint32(1)).sum(axis=1, dtype=np.int64)
+        # columns :batch are X0, batch: the same states with the bit flipped
+        x = np.repeat(column, 2 * batch, axis=1)
+        x[4:12, :batch] = rng.integers(0, 1 << 32, size=(8, batch), dtype=np.uint32)
+        x[13:16, :batch] = rng.integers(0, 1 << 32, size=(3, batch), dtype=np.uint32)
+        x[:, batch:] = x[:, :batch]
+        x[row, batch:] ^= flip
+        z = vector.feedforward(x, params.rounds, masks)
+        diff = z[:, :batch] ^ z[:, batch:]
+        diff = diff.astype("<u4", copy=False).view(np.uint8).reshape(16, batch, 4)
+        hist += np.bincount((diff + bins).ravel(), minlength=hist.size)
         done += batch
 
+    bit_table = (np.arange(256)[:, None] >> np.arange(8)) & 1  # [value, bit]
+    flips = hist.reshape(16, 4, 256) @ bit_table  # [word, byte, bit]: bit 8*byte + bit
     per_bit = (flips / trials).reshape(512)
     return AvalancheReport(
         rounds=params.rounds,

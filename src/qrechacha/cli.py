@@ -319,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="run the randomness battery")
     p.add_argument("--suite", choices=SUITES, default="both")
     p.add_argument("--sequences", type=int, default=100)
-    p.add_argument("--bits", type=int, default=1_000_000)
+    p.add_argument("--bits", type=int, default=1_000_000,
+                   help="bits per sequence (default %(default)s); every row runs from "
+                   "262145 bits for nist and both (serial m=16 needs m < log2(n) - 2) and "
+                   "from 10240 for gmt (poker m=8); below that the rows that cannot run "
+                   "are reported not applicable and the verdict is FAIL")
     p.add_argument("--rounds", type=int, default=8)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--alpha-uniformity", type=float, default=1e-4)

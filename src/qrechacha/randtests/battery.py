@@ -13,9 +13,10 @@ computes it.  Rows naming the same call (the frequency, runs, longest-run
 and cumulative-sums rows both suites have, the two serial P-values) share
 one run of it per sequence.  Each sequence is wrapped once in the tests'
 per-sequence memo and every call reads it: the bits are validated once, one
-packed-byte window pass at the widest window any applicable serial or
-approximate-entropy row needs feeds all of them (16 bits at n = 10**6, 11 at
-2 * 10**5), and both cumulative-sums directions share one partial-sum array.
+packed-byte window pass at the widest window any applicable serial,
+approximate-entropy or run-distribution row needs feeds all of them (17 bits
+at n = 10**6, 15 at 2 * 10**5, 7 at 1000: run distribution's cutoff e plus
+two), and both cumulative-sums directions share one partial-sum array.
 The memo is dropped when the sequence is done.  With jobs > 1, sequences
 travel to the workers as packed bytes, at most 2 * jobs at a time.
 """
@@ -58,8 +59,8 @@ class PlanEntry:
         none or cannot run at n."""
         width = stattests._WINDOW_WIDTH.get(self.func)
         try:
-            return width(self.kwargs["m"], n) if width else 0
-        except ParamTooLarge:
+            return width(n, **self.kwargs) if width else 0
+        except (ParamTooLarge, SequenceTooShort):
             return 0
 
 
@@ -237,8 +238,23 @@ class BatteryReport:
                 f"{ln.label:<{width}}{ln.pass_count:>12}{ln.proportion:>12.4f}{uni:>14}  {verdict}"
             )
         out.append("")
-        out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
+        out.append(f"overall: {self.verdict()}")
         return "\n".join(out)
+
+    def verdict(self) -> str:
+        """PASS, or FAIL naming the failed rows apart from the rows that
+        could not run at this sequence length."""
+        if self.passed:
+            return "PASS"
+        failed = [ln.row_id for ln in self.lines
+                  if ln.applicable and not ln.ok(self.alpha_uniformity)]
+        skipped = [ln.row_id for ln in self.lines if not ln.applicable]
+        parts = []
+        if failed:
+            parts.append(f"failed: {', '.join(failed)}")
+        if skipped:
+            parts.append(f"not applicable at {self.bits_per_sequence} bits: {', '.join(skipped)}")
+        return f"FAIL ({'; '.join(parts)})"
 
 
 def _run_sequence(bits, plan, alpha):

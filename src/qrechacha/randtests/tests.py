@@ -10,13 +10,14 @@ reported as a not-applicable result with P = 0 rather than an exception.
 
 Every test reads its sequence through a private per-sequence memo
 (`_Sequence`): the bits, validated once; the cyclic m-bit window counts that
-serial and approximate entropy read, from one packed-byte pass at the widest
-window asked for and exact folds below it (cyclic (m-1)-windows are the
-prefixes of cyclic m-windows, NIST SP 800-22 Rev. 1a, sections 2.11-2.12);
-and the partial sums that both cumulative-sums directions read.  A plain
-sequence gets a fresh memo per call; the battery builds one per sequence,
-sized to the widest window of its plan, and passes it as `seq`, so
-standalone and battery calls run the same code.
+serial, approximate entropy and run distribution read, from one packed-byte
+pass at the widest window asked for and exact folds below it (cyclic
+(m-1)-windows are the prefixes of cyclic m-windows, NIST SP 800-22 Rev. 1a,
+sections 2.11-2.12); and the partial sums that both cumulative-sums
+directions read.  A plain sequence gets a fresh memo per call; the battery
+builds one per sequence, sized to the widest window of its plan, and passes
+it as `seq`, so standalone and battery calls run the same code.  Poker reads
+its blocks from packed bytes as well, through strided word views.
 """
 
 from __future__ import annotations
@@ -63,6 +64,21 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """np.packbits(bits) and 7 zero bytes, so a 64-bit word read from any
+    byte of the packed bits stays inside the buffer."""
+    packed = np.zeros((bits.size + 7) // 8 + 7, dtype=np.uint8)
+    raw = np.packbits(bits)
+    packed[: raw.size] = raw
+    return packed
+
+
+def _words(packed: np.ndarray, start: int, count: int, stride: int) -> np.ndarray:
+    """count big-endian 64-bit words of packed, from bytes start,
+    start + stride, ...: a strided view, no copy."""
+    return np.ndarray((count,), dtype=">i8", buffer=packed, offset=start, strides=(stride,))
+
+
 def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
     """Counts of the n cyclic m-bit windows (sequence extended by m-1 bits).
 
@@ -72,16 +88,33 @@ def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
     words hold any m <= 57, far past the 2**m counts that fit in memory.
     """
     n = bits.size
-    starts = (n + 7) // 8
-    packed = np.zeros(starts + 7, dtype=np.uint8)
-    raw = np.packbits(np.concatenate((bits, bits[: m - 1])))
-    packed[: raw.size] = raw
-    words = np.ndarray((starts,), dtype=">i8", buffer=packed, strides=(1,)).astype(np.int64)
+    packed = _packed(np.concatenate((bits, bits[: m - 1])))
+    words = _words(packed, 0, (n + 7) // 8, 1).astype(np.int64)
     mask = (1 << m) - 1
     counts = np.zeros(1 << m, dtype=np.int64)
     for r in range(min(8, n)):
         window = (words[: (n - r + 7) // 8] >> (64 - r - m)) & mask
         counts += np.bincount(window, minlength=1 << m)
+    return counts
+
+
+def _block_counts(bits: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the n // m non-overlapping m-bit block values, MSB first.
+
+    Block k starts at bit k*m; every `period` blocks end on a byte edge, so
+    the blocks of one phase j are one strided view of packed words, each
+    block at bit offset r <= 7 of its word (any m <= 57 fits).
+    """
+    nblocks = bits.size // m
+    period = 8 // math.gcd(m, 8)
+    stride = m * period // 8
+    packed = _packed(bits[: nblocks * m])
+    mask = (1 << m) - 1
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for j in range(min(period, nblocks)):
+        start, r = divmod(j * m, 8)
+        words = _words(packed, start, (nblocks - j + period - 1) // period, stride)
+        counts += np.bincount((words >> (64 - r - m)) & mask, minlength=1 << m)
     return counts
 
 
@@ -236,7 +269,7 @@ def cumulative_sums(seq, backward: bool = False, alpha: float = ALPHA_DEFAULT) -
     return TestResult("cumulative_sums", {"n": n, "direction": direction}, float(z), p, alpha)
 
 
-def _apen_width(m: int, n: int) -> int:
+def _apen_width(n: int, m: int) -> int:
     """Widest window ApEn(m) reads from n bits; raises if m does not fit n."""
     if m < 1:
         raise ParamError("pattern length m must be >= 1")
@@ -245,7 +278,7 @@ def _apen_width(m: int, n: int) -> int:
     return m + 1
 
 
-def _serial_width(m: int, n: int) -> int:
+def _serial_width(n: int, m: int) -> int:
     """Widest window serial(m) reads from n bits; raises if m does not fit n."""
     if m < 2:
         raise ParamError("serial test needs m >= 2")
@@ -254,8 +287,24 @@ def _serial_width(m: int, n: int) -> int:
     return m
 
 
-# widest window of each test that reads cyclic window counts, by test name
-_WINDOW_WIDTH = {"approximate_entropy": _apen_width, "serial": _serial_width}
+def _run_width(n: int) -> int:
+    """Widest window run distribution reads from n bits, e + 2 for the
+    length cutoff e; raises if n is too short."""
+    if n < 100:
+        raise SequenceTooShort(f"run-distribution test needs n >= 100, got {n}")
+    e = 1
+    while (n - (e + 1) + 3) / 2.0 ** (e + 3) >= 5.0:
+        e += 1
+    return e + 2
+
+
+# widest window of each test that reads cyclic window counts, by test name;
+# each takes n and the test's keyword arguments
+_WINDOW_WIDTH = {
+    "approximate_entropy": _apen_width,
+    "serial": _serial_width,
+    "run_distribution": _run_width,
+}
 
 
 def approximate_entropy(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
@@ -266,7 +315,7 @@ def approximate_entropy(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult
     """
     seq = _memo(seq)
     n = seq.n
-    _apen_width(m, n)
+    _apen_width(n, m)
 
     def phi(mm: int) -> float:
         counts = seq.window_counts(mm)
@@ -288,7 +337,7 @@ def serial(seq, m: int, alpha: float = ALPHA_DEFAULT) -> tuple[TestResult, TestR
     """
     seq = _memo(seq)
     n = seq.n
-    _serial_width(m, n)
+    _serial_width(n, m)
 
     def psi2(mm: int) -> float:
         if mm == 0:
@@ -309,7 +358,8 @@ def serial(seq, m: int, alpha: float = ALPHA_DEFAULT) -> tuple[TestResult, TestR
 
 
 def poker(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
-    """Occupancy chi-square over non-overlapping m-bit block patterns."""
+    """Occupancy chi-square over non-overlapping m-bit block patterns,
+    counted from packed bytes."""
     bits = _memo(seq).bits
     if m < 1:
         raise ParamError("poker block length m must be >= 1")
@@ -318,8 +368,7 @@ def poker(seq, m: int, alpha: float = ALPHA_DEFAULT) -> TestResult:
         raise SequenceTooShort(
             f"poker test with m={m} needs at least {5 * (1 << m)} blocks, got {nblocks}"
         )
-    values = bits[: nblocks * m].reshape(nblocks, m) @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
-    counts = np.bincount(values, minlength=1 << m).astype(np.float64)
+    counts = _block_counts(bits, m).astype(np.float64)
     v = float((1 << m) / nblocks * (counts * counts).sum() - nblocks)
     v = max(0.0, v)
     p = igamc(((1 << m) - 1) / 2.0, v / 2.0)
@@ -356,27 +405,53 @@ def autocorrelation(seq, shift: int, alpha: float = ALPHA_DEFAULT) -> TestResult
     return TestResult("autocorrelation", {"d": shift, "A": a}, v, p, alpha)
 
 
+def _run_classes(seq: _Sequence) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(e, total runs, ones, zeros): ones[L-1] and zeros[L-1] count the
+    runs of exactly L ones or zeros, L = 1..e.
+
+    The counts come from the shared cyclic window counts, widths 2..e+2.
+    A cyclic run of ones of length >= L is one `0 1^L` window, a run of
+    zeros one `1 0^L` window; exact lengths are differences of adjacent
+    ">= L" counts, and the width-2 windows count the value changes.  Linear
+    runs differ from cyclic ones only at the ends: when the first and last
+    bit agree, the run that wraps is the last run and the first run
+    joined, and a constant sequence is one run no window sees.
+    """
+    width = _run_width(seq.n)
+    e = width - 2
+    seq.window_counts(width)  # the widest first: the narrower ones are its folds
+    at_least = np.zeros((2, e + 1), dtype=np.int64)  # [value, L - 1], L = 1..e+1
+    for length in range(1, e + 2):
+        counts = seq.window_counts(length + 1)
+        at_least[0, length - 1] = counts[1 << length]  # 1 0^L
+        at_least[1, length - 1] = counts[(1 << length) - 1]  # 0 1^L
+    pair = seq.window_counts(2)
+    changes = int(pair[1] + pair[2])  # cyclic, including bit n-1 -> bit 0
+    bits = seq.bits
+    first, last = int(bits[0]), int(bits[-1])
+    lengths = np.arange(1, e + 2)
+    if changes == 0:
+        at_least[first] += 1
+    elif first == last:
+        # the first and last runs, each capped at e + 1 bits, which is
+        # all the comparisons below can tell apart
+        head = int(np.argmax(np.append(bits[: e + 1] != first, True)))
+        tail = int(np.argmax(np.append(bits[: -e - 2 : -1] != last, True)))
+        split = (lengths <= head).astype(np.int64) + (lengths <= tail)
+        at_least[first] += split - (lengths <= head + tail)
+    zeros, ones = at_least[:, :-1] - at_least[:, 1:]
+    return e, 1 + changes - (first != last), ones, zeros
+
+
 def run_distribution(seq, alpha: float = ALPHA_DEFAULT) -> TestResult:
     """Chi-square of 0-run and 1-run length counts against the geometric law.
 
     Lengths are classified up to the cutoff e, the largest i whose expected
     count (n - i + 3) / 2**(i+2) is at least 5; longer runs still count
-    toward the total but are not classified.  df = 2e - 2.
+    toward the total but are not classified.  df = 2e - 2.  The counts are
+    read from the shared window pass (see `_run_classes`).
     """
-    bits = _memo(seq).bits
-    n = bits.size
-    if n < 100:
-        raise SequenceTooShort(f"run-distribution test needs n >= 100, got {n}")
-    e = 1
-    while (n - (e + 1) + 3) / 2.0 ** (e + 3) >= 5.0:
-        e += 1
-    change = np.flatnonzero(bits[1:] != bits[:-1])
-    bounds = np.concatenate(([0], change + 1, [n]))
-    lengths = np.diff(bounds)
-    total = lengths.size
-    first = int(bits[0])  # runs alternate, starting with the value of bit 0
-    ones = np.bincount(lengths[1 - first :: 2], minlength=e + 1)[1 : e + 1]
-    zeros = np.bincount(lengths[first::2], minlength=e + 1)[1 : e + 1]
+    e, total, ones, zeros = _run_classes(_memo(seq))
     expected = total / 2.0 ** (np.arange(1, e + 1) + 1)
     v = float((((ones - expected) ** 2 + (zeros - expected) ** 2) / expected).sum())
     p = igamc(e - 1.0, v / 2.0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,28 @@ class TestAvalanche:
         doc = rep.to_dict()
         assert doc["kind"] == "avalanche"
         assert len(doc["per_bit"]) == 512
+
+    @pytest.mark.parametrize("rounds, with_material, segment, digest", [
+    (8, False, "key", "8ebb3bef731f54203b0bdb973bef36761469645159c4bd3eee3f7ed1b54d2d13"),
+    (8, False, "nonce", "4444f2c56da679079d049ec41043eca8c892fb53c7cee18326698f641334662e"),
+    (8, False, "counter", "0011cc3c7ef00f3f9bf09b246b7bf121125cc11c39853301680c69fc6fb3e421"),
+    (8, True, "key", "61e6335082bfe0344627cf5eb57c2ddf43a3fe1975588e12fb1d90a62f861ed0"),
+    (8, True, "nonce", "b94e71c7c9fef2a788bdd5865e4e4abbb6e25e321b1c954e6186b789fb97e915"),
+    (8, True, "counter", "26575e99652dd0922ae0c96d4f384f64b578ec549bd20adf430962c8fdc03883"),
+    (20, False, "key", "fb010219c0937298df26ae03bcae1152fbaf5918a0e69d58fc3886c0a58cb7b5"),
+    (20, False, "nonce", "29b24bf04dfd7601240c75130feb7f3ff36a044f1c70169bc26995e31af3dcf4"),
+    (20, False, "counter", "d3ddac5852ce451c604297984d187d920296dc58bee775115d0e41ba57241ea4"),
+    (20, True, "key", "ce76641c26f281b9aa5ada7deec1a1978157502e085d7c65a37f9fd94273faa5"),
+    (20, True, "nonce", "4b8fd52e1910a86640e9390b08e789b0f27b12b4bd29daa9eb2953c80f485851"),
+    (20, True, "counter", "a0645db782e872d68046a00bcc61716e6604c8fb3b7d8a0912b201f8bb667382"),
+    ])
+    def test_per_bit_pinned(self, rounds, with_material, segment, digest):
+        # per_bit as the two-feedforward, 32-pass bit loop computed it;
+        # 5000 trials span a full 4096-trial batch and a partial one
+        mat = derive_session(DeterministicProvider(b"avalanche-pin"), rounds) if with_material else None
+        bit = {"key": 200, "nonce": 70, "counter": 31}[segment]
+        rep = avalanche_metric(params_for(rounds, counter=7), mat, (segment, bit), 5000, rng=11)
+        assert hashlib.sha256(rep.per_bit.tobytes()).hexdigest() == digest
 
 
 class TestTopBitLinearity:

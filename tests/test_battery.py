@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def public_results(bits, plan, alpha=0.01):
     return out
 
 
-@pytest.mark.parametrize("nbits, widest", [(1_000_000, 16), (200_000, 11), (1000, 6)])
+@pytest.mark.parametrize("nbits, widest", [(1_000_000, 17), (200_000, 15), (1000, 7)])
 def test_shared_memo_equals_public_tests(monkeypatch, nbits, widest):
     bits = np.random.default_rng(nbits).integers(0, 2, nbits, dtype=np.uint8)
     plan = build_plan("both")
@@ -159,6 +160,21 @@ def test_megabit_p_values_pinned():
             got.append([p])
     assert hashlib.sha256(repr(got).encode()).hexdigest() == (
         "7b02b52d602cccacc2c94881c808d48f9a2cda1576c2e3951be21c430fc53455")
+
+
+def test_megabit_sequence_memory_peak():
+    # one 10**6-bit sequence through both suites allocates at most 10 MB at
+    # once: poker reads packed bytes and run distribution reads the shared
+    # window counts, so no row builds n-sized int64 arrays (18.2 MB before)
+    bits = np.random.default_rng(10).integers(0, 2, 1_000_000, dtype=np.uint8)
+    plan = build_plan("both")
+    tracemalloc.start()
+    try:
+        battery._run_sequence(bits, plan, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_000_000, peak
 
 
 def test_both_suites_equal_each_suite_alone():

@@ -9,6 +9,7 @@ import threading
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qrechacha
@@ -346,6 +347,40 @@ class TestBattery:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert (tmp_path / "r.json").exists()
+
+    def test_verdict_names_rows_not_run_apart_from_failed_rows(self, tmp_path, capsys):
+        # serial m=16 cannot run at 20 000 bits: the verdict says so instead
+        # of counting those rows among the failures; exit code and JSON keep
+        # their meaning
+        report = tmp_path / "r.json"
+        assert run_cli("test", "--suite", "nist", "--sequences", 2, "--bits", 20_000,
+                       "--seed", "00", "--report", report) == 5
+        assert capsys.readouterr().out.rstrip().splitlines()[-1] == (
+            "overall: FAIL (not applicable at 20000 bits: nist/serial_p1, nist/serial_p2)")
+        doc = json.loads(report.read_text())
+        assert doc["passed"] is False
+        assert set(doc) == {"kind", "suite", "alpha", "alpha_uniformity", "sequences",
+                            "bits_per_sequence", "provider", "passed", "results"}
+        seqdir = tmp_path / "seqs"
+        seqdir.mkdir()
+        for i in range(10):
+            (seqdir / f"seq_{i:05d}.bits").write_bytes(bytes(2500))
+        assert run_cli("test", "--suite", "nist", "--bits", 20_000, "--input-dir", seqdir) == 5
+        verdict = capsys.readouterr().out.rstrip().splitlines()[-1]
+        assert verdict.startswith("overall: FAIL (failed: nist/frequency, ")
+        assert verdict.endswith("; not applicable at 20000 bits: nist/serial_p1, nist/serial_p2)")
+
+    def test_bits_help_gives_the_length_every_row_needs(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("test", "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert "from 262145 bits for nist and both" in text
+        assert "from 10240 for gmt" in text
+        bits = np.random.default_rng(3).integers(0, 2, 262_145, dtype=np.uint8)
+        for suite, shortest in (("nist", 262_145), ("both", 262_145), ("gmt", 10_240)):
+            runs_all = lambda n: all(line.applicable for line in
+                                     battery_run([bits[:n]], suite=suite).lines)
+            assert runs_all(shortest) and not runs_all(shortest - 1), suite
 
     def test_constant_input_fails_with_exit_5(self, tmp_path):
         seqdir = tmp_path / "seqs"

@@ -297,7 +297,33 @@ class TestWindowCounts:
             assert np.array_equal(memo.window_counts(m), wide), (n, m)
 
 
+def reference_block_counts(bits, m):
+    """Block-value counts by the (N, m) @ powers-of-two matmul."""
+    nblocks = bits.size // m
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    return np.bincount(bits[: nblocks * m].reshape(nblocks, m) @ weights, minlength=1 << m)
+
+
 class TestPoker:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_packed_counts_match_matmul(self, m):
+        # the shortest length poker accepts, lengths that leave 1 and 7
+        # bits in the last byte, and the battery's length with a ragged end
+        floor = 5 * m * (1 << m)
+        for n in (floor, floor + 1, floor + 7, 1_000_000, 1_000_003):
+            bits = RNG.integers(0, 2, n, dtype=np.uint8)
+            got = stattests._block_counts(bits, m)
+            assert np.array_equal(got, reference_block_counts(bits, m)), (m, n)
+            counts = got.astype(np.float64)
+            nblocks = n // m
+            v = max(0.0, float((1 << m) / nblocks * (counts * counts).sum() - nblocks))
+            assert poker(bits, m).statistic == v
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_matches_oracle(self, m):
+        bits = RNG.integers(0, 2, 20_003, dtype=np.uint8)
+        assert abs(poker(bits, m).p_value - oracles.oracle_poker(bits.tolist(), m)) < 1e-9
+
     def test_uniform_occupancy(self):
         # every 4-bit pattern exactly once: 64 bits, V = 0
         bits = []
@@ -379,7 +405,68 @@ class TestAutocorrelation:
             assert abs(got - want) < 1e-6
 
 
+def reference_run_classes(bits):
+    """(e, total, ones, zeros) from the run boundaries of the bits."""
+    n = bits.size
+    e = 1
+    while (n - (e + 1) + 3) / 2.0 ** (e + 3) >= 5.0:
+        e += 1
+    change = np.flatnonzero(bits[1:] != bits[:-1])
+    lengths = np.diff(np.concatenate(([0], change + 1, [n])))
+    first = int(bits[0])  # runs alternate, starting with the value of bit 0
+    ones = np.bincount(lengths[1 - first :: 2], minlength=e + 1)[1 : e + 1]
+    zeros = np.bincount(lengths[first::2], minlength=e + 1)[1 : e + 1]
+    return e, lengths.size, ones, zeros
+
+
+def run_cases(n):
+    rng = np.random.default_rng(n)
+    random = lambda: rng.integers(0, 2, n, dtype=np.uint8)
+    long_ends = random()
+    long_ends[:40], long_ends[40], long_ends[-41], long_ends[-40:] = 1, 0, 1, 0
+    long_wrap = random()
+    long_wrap[:40], long_wrap[40], long_wrap[-41], long_wrap[-40:] = 1, 0, 0, 1
+    wrap_ones = random()
+    wrap_ones[:3], wrap_ones[3], wrap_ones[-6], wrap_ones[-5:] = 1, 0, 0, 1
+    wrap_zeros = random()
+    wrap_zeros[:30], wrap_zeros[30], wrap_zeros[-1] = 0, 1, 0
+    return {
+        "ones": np.ones(n, dtype=np.uint8),
+        "zeros": np.zeros(n, dtype=np.uint8),
+        "alternating": as_bits(("01" * n)[:n]),
+        "long_ends": long_ends,
+        "long_wrap": long_wrap,
+        "wrap_ones": wrap_ones,
+        "wrap_zeros": wrap_zeros,
+        "biased_ones": (rng.random(n) < 0.8).astype(np.uint8),
+        "biased_zeros": (rng.random(n) < 0.15).astype(np.uint8),
+        "random": random(),
+    }
+
+
 class TestRunDistribution:
+    @pytest.mark.parametrize("n", [100, 101, 1000, 200_000, 1_000_000])
+    def test_window_classes_match_run_boundaries(self, n):
+        for kind, bits in run_cases(n).items():
+            e, total, ones, zeros = stattests._run_classes(stattests._Sequence(bits))
+            want = reference_run_classes(bits)
+            assert (e, total) == want[:2], (kind, n)
+            assert np.array_equal(ones, want[2]), (kind, n)
+            assert np.array_equal(zeros, want[3]), (kind, n)
+
+    def test_alternating_string(self):
+        bits = as_bits("01" * 500)
+        e, total, ones, zeros = stattests._run_classes(stattests._Sequence(bits))
+        assert (e, total) == (5, 1000)
+        assert ones.tolist() == zeros.tolist() == [500, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n", [1000, 200_000, 1_000_000])
+    def test_standalone_equals_battery_memo(self, n):
+        bits = RNG.integers(0, 2, n, dtype=np.uint8)
+        memo = stattests._Sequence(bits, widest=stattests._run_width(n))
+        approximate_entropy(memo, 2)  # the memo's one pass runs before this row
+        assert run_distribution(memo) == run_distribution(bits)
+
     def test_alternating_extreme(self):
         assert run_distribution(as_bits("01" * 500)).p_value < 1e-12
 
