@@ -98,8 +98,9 @@ def _regular_size(fh):
 
 
 def cmd_crypt(args) -> int:
-    """Stream the input through xor_stream in pieces of CHUNK_BLOCKS blocks,
-    each at the counter of its first block, so memory stays O(chunk)."""
+    """Stream the input through xor_stream in pieces of CHUNK_BLOCKS blocks
+    (1 MiB), each at the counter of its first block, so memory stays
+    O(piece) and each piece is one keystream chunk."""
     params = CipherParams.from_bytes(_read(args.key), _read(args.nonce), args.counter, args.rounds)
     material = _load_material(args)
     piece = vector.CHUNK_BLOCKS * BLOCK_BYTES

@@ -24,7 +24,6 @@ travel to the workers as packed bytes, at most 2 * jobs at a time.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -151,11 +150,11 @@ class BatteryLine:
 
     def ok(self, alpha_uniformity: float) -> bool:
         """Row verdict: pass count inside the three-sigma band (its lower
-        edge rounded down to the achievable count grid, so 96/100 passes a
-        0.9602 bound) and P-values uniform."""
+        edge rounded to the nearest achievable count, so 96/100 passes a
+        0.9602 bound while 0/1 fails a 0.69 one) and P-values uniform."""
         if not self.applicable:
             return False
-        if self.pass_count < math.floor(self.interval[0] * self.total):
+        if self.pass_count < round(self.interval[0] * self.total):
             return False
         return self.uniformity_p is None or self.uniformity_p >= alpha_uniformity
 

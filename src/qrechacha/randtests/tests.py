@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ParamError, ParamTooLarge, SequenceTooShort
 from .bits import as_bits
-from .special import erfc, igamc
+from .special import erfc, igamc, ndtr
 
 ALPHA_DEFAULT = 0.01
 

@@ -29,6 +29,21 @@ def test_interval_matches_reference_values():
     assert hi100 == 1.0
 
 
+@pytest.mark.parametrize("passed, total, ok", [
+    (0, 1, False), (1, 1, True),
+    (8, 10, False), (9, 10, True),
+    (18, 20, True), (17, 20, False),
+    (96, 100, True), (95, 100, False),
+    (980, 1000, False), (981, 1000, True),
+])
+def test_pass_count_against_the_band_edge(passed, total, ok):
+    # the lower edge rounds to the nearest count: 0.69 of 1, 8.96 of 10,
+    # 18.47 of 20, 96.02 of 100, 980.56 of 1000
+    line = battery.BatteryLine("r", "r", passed, total, passed / total,
+                               proportion_interval(0.01, total), None, [])
+    assert line.ok(0.0001) is ok
+
+
 def test_uniformity_of_uniform_p_values():
     rng = np.random.default_rng(99)
     for _ in range(5):

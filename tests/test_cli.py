@@ -348,6 +348,16 @@ class TestBattery:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert (tmp_path / "r.json").exists()
 
+    def test_one_all_zero_sequence_fails(self, tmp_path, capsys):
+        # one sequence puts the band's lower edge at 0.69 of a count: it
+        # rounds to 1, so 0 of 1 passing fails the row
+        seqdir = tmp_path / "seqs"
+        seqdir.mkdir()
+        (seqdir / "seq_00000.bits").write_bytes(bytes(2500))
+        assert run_cli("test", "--suite", "gmt", "--bits", 20_000, "--input-dir", seqdir) == 5
+        out = capsys.readouterr().out
+        assert out.rstrip().splitlines()[-1].startswith("overall: FAIL (failed: gmt/frequency")
+
     def test_verdict_names_rows_not_run_apart_from_failed_rows(self, tmp_path, capsys):
         # serial m=16 cannot run at 20 000 bits: the verdict says so instead
         # of counting those rows among the failures; exit code and JSON keep

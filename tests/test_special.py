@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qrechacha
 
 from qrechacha import DomainError
 from qrechacha.randtests.special import erfc, igamc
@@ -60,3 +66,26 @@ def test_igamc_domain():
     for a, x in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)):
         with pytest.raises(DomainError):
             igamc(a, x)
+
+
+def test_scipy_special_is_imported_only_for_p_values():
+    # encrypting and deriving material never load scipy.special; a battery
+    # run afterwards still computes its P-values
+    code = """
+import sys
+import numpy as np
+from qrechacha import CipherParams, DeterministicProvider, derive_session, xor_stream
+from qrechacha.randtests import battery_run
+material = derive_session(DeterministicProvider(b"lazy"), 8)
+xor_stream(CipherParams(tuple(range(8)), (1, 2, 3), 0, 8), material, bytes(2048))
+assert "scipy.special" not in sys.modules, "loaded by xor_stream or derive_session"
+bits = np.random.default_rng(1).integers(0, 2, size=(10, 20000), dtype=np.uint8)
+report = battery_run(list(bits), suite="gmt")
+assert "scipy.special" in sys.modules
+print(report.passed)
+"""
+    src = str(Path(qrechacha.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.strip() == "True"

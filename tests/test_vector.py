@@ -44,6 +44,22 @@ def test_run_rounds_matches_scalar():
     assert [int(w) for w in x[:, 0]] == expect
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 17])
+@pytest.mark.parametrize("rounds", [2, 8, 20])
+@pytest.mark.parametrize("masks", ["none", "shared", "per-column"])
+def test_grouped_rounds_match_scalar_per_column(width, rounds, masks):
+    rng = np.random.default_rng(1000 * width + rounds)
+    x0 = rng.integers(0, 1 << 32, size=(16, width), dtype=np.uint32)
+    drawn = rng.integers(0, 1 << 32, size=(rounds // 2, 4, width), dtype=np.uint32)
+    given = {"none": None, "shared": drawn[:, :, 0].copy(), "per-column": drawn}[masks]
+    x = vector.run_rounds(x0.copy(), rounds, given)
+    for col in range(width):
+        mask_words = None if given is None else [
+            [int(w) for w in (m if m.ndim == 1 else m[:, col])] for m in given]
+        want = scalar_rounds([int(w) for w in x0[:, col]], rounds, mask_words)
+        assert [int(w) for w in x[:, col]] == want, col
+
+
 def test_chunk_boundaries_equal(monkeypatch):
     params = CipherParams(rand_words(8), rand_words(3), 0, 8)
     mat = rand_material(8)
