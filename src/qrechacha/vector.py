@@ -46,6 +46,9 @@ from .cipher import (
 # per-row kernel this replaced read 138 / 254 at its 2**16 blocks.
 CHUNK_BLOCKS = 1 << 14
 
+# the quarter-round's two halves: rotate d, then b, by these counts
+_ROTATIONS = ((16, 12), (8, 7))
+
 
 def _rotl(v, n, t):
     np.left_shift(v, n, out=t)
@@ -70,39 +73,25 @@ def _rounds(x, rounds, masks, t):
         if r % 2 == 0:
             if masks is not None:
                 xor(a, masks[r >> 1], out=a)
-            add(a, b, out=a)
-            xor(d, a, out=d)
-            _rotl(d, 16, t)
-            add(c, d, out=c)
-            xor(b, c, out=b)
-            _rotl(b, 12, t)
-            add(a, b, out=a)
-            xor(d, a, out=d)
-            _rotl(d, 8, t)
-            add(c, d, out=c)
-            xor(b, c, out=b)
-            _rotl(b, 7, t)
+            for n1, n2 in _ROTATIONS:
+                add(a, b, out=a)
+                xor(d, a, out=d)
+                _rotl(d, n1, t)
+                add(c, d, out=c)
+                xor(b, c, out=b)
+                _rotl(b, n2, t)
         else:
-            add(a02, b13, out=a02)
-            add(a3, b0, out=a3)
-            xor(d02, a13, out=d02)
-            xor(d3, a0, out=d3)
-            _rotl(d, 16, t)
-            add(c02, d13, out=c02)
-            add(c3, d0, out=c3)
-            xor(b02, c13, out=b02)
-            xor(b3, c0, out=b3)
-            _rotl(b, 12, t)
-            add(a02, b13, out=a02)
-            add(a3, b0, out=a3)
-            xor(d02, a13, out=d02)
-            xor(d3, a0, out=d3)
-            _rotl(d, 8, t)
-            add(c02, d13, out=c02)
-            add(c3, d0, out=c3)
-            xor(b02, c13, out=b02)
-            xor(b3, c0, out=b3)
-            _rotl(b, 7, t)
+            for n1, n2 in _ROTATIONS:
+                add(a02, b13, out=a02)
+                add(a3, b0, out=a3)
+                xor(d02, a13, out=d02)
+                xor(d3, a0, out=d3)
+                _rotl(d, n1, t)
+                add(c02, d13, out=c02)
+                add(c3, d0, out=c3)
+                xor(b02, c13, out=b02)
+                xor(b3, c0, out=b3)
+                _rotl(b, n2, t)
     return x
 
 
