@@ -1,5 +1,6 @@
-"""Property tests of the keystream engine, at the shipped chunk width and
-at a width of 3 blocks that puts chunk edges inside short inputs."""
+"""Property tests of the keystream engine, at the shipped chunk width, at
+2**16 blocks (the widest width the chunk sweep covers) and at a width of 3
+blocks that puts chunk edges inside short inputs."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qrechacha import CipherParams, DeterministicProvider, derive_session, xor_s
 from qrechacha import vector  # noqa: E402
 from qrechacha.cipher import MAX_COUNTER, blocks_needed  # noqa: E402
 
-WIDTHS = (3, vector.CHUNK_BLOCKS)
+WIDTHS = (3, vector.CHUNK_BLOCKS, 1 << 16)
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 

@@ -143,7 +143,11 @@ def test_feedforward_batch_matches_per_column():
 
 
 EDGE = vector.CHUNK_BLOCKS * 64  # bytes per chunk at the shipped width
-EDGE_SIZES = (EDGE - 1, EDGE, EDGE + 1, 2 * EDGE + 65)
+# around the first chunk edge and around the fourth, where the counter
+# offsets have advanced three times (also the 2**16-block edge, the widest
+# width the chunk sweep covers)
+EDGE_SIZES = tuple(size for k in (1, 4)
+                   for size in (k * EDGE - 1, k * EDGE, k * EDGE + 1, 2 * k * EDGE + 65))
 
 
 def _edge_counter(start, nblocks):
